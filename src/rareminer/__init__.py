@@ -15,14 +15,12 @@ from .itemsets import (
     ItemUniverseError,
     Transaction,
     TransactionDatabase,
-    canonical_key,
-    classify_support,
     combinable,
     database_from_transactions,
     format_result_line,
     parse_database,
 )
-from .lattice import ORACLE_ITEM_CAP, LatticeEntry, classify_all, coverage
+from .lattice import LatticeEntry, classify_all, coverage
 from .monitor import (
     Alert,
     Event,
@@ -33,13 +31,11 @@ from .monitor import (
     WindowReport,
     format_alert_line,
     parse_events,
-    persist_window,
     replay,
     run_window,
 )
 from .rare import (
     EMIT_BOTH,
-    EMIT_CHOICES,
     EMIT_NONPRESENT,
     EMIT_RARE,
     LevelState,
@@ -54,9 +50,7 @@ from .rare import (
 
 __all__ = [
     "DEFAULT_ITEM_CAP",
-    "ORACLE_ITEM_CAP",
     "EMIT_BOTH",
-    "EMIT_CHOICES",
     "EMIT_NONPRESENT",
     "EMIT_RARE",
     "Alert",
@@ -76,9 +70,7 @@ __all__ = [
     "Transaction",
     "TransactionDatabase",
     "WindowReport",
-    "canonical_key",
     "classify_all",
-    "classify_support",
     "combinable",
     "coverage",
     "database_from_transactions",
@@ -92,7 +84,6 @@ __all__ = [
     "mine_rare",
     "parse_database",
     "parse_events",
-    "persist_window",
     "prune_candidates",
     "replay",
     "run_window",

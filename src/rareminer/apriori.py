@@ -2,8 +2,11 @@
 
 Level-wise Apriori search in the style of Agrawal & Srikant (VLDB 1994):
 count single items, then repeatedly join the frequent k-sets into (k+1)-
-candidates, discard candidates with an infrequent k-subset, and count the
-survivors. The minimum support threshold is inclusive, so mining with
+candidates and count them. The join works on bit-vector masks: each
+frequent k-set is extended by one item above its highest member, and the
+extension is kept only when all of its one-item reductions are frequent
+k-sets, so every candidate is generated once and none has an infrequent
+k-subset. The minimum support threshold is inclusive, so mining with
 minsupp equal to the rare miner's exclusive maximum makes the two outputs
 partition the lattice of non-empty item-sets.
 """
@@ -11,24 +14,31 @@ partition the lattice of non-empty item-sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Collection
+from typing import ClassVar, Collection
 
-from .itemsets import ItemSet, TransactionDatabase, canonical_key
+from .itemsets import (
+    Classification,
+    ItemSet,
+    TransactionDatabase,
+    canonical_key,
+    iter_child_masks,
+)
 
 
 @dataclass(frozen=True)
 class FrequentItemSet:
     itemset: ItemSet
     support: int
+    classification: ClassVar[Classification] = Classification.FREQUENT
 
 
 def join_candidates(frequent: Collection[ItemSet]) -> list[ItemSet]:
-    """Join (k-1)-sets into k-candidates, then prune by the subset check.
+    """Join k-sets into (k+1)-candidates whose k-subsets are all members.
 
-    Uses the canonical prefix convention: two sorted id tuples join only
-    when they agree on their first k-2 items, so no candidate is generated
-    twice. Candidates with any infrequent (k-1)-subset are dropped.
+    Each member is extended by one item above its highest bit, so no
+    candidate is generated twice; an extension survives only when every
+    one-item reduction of it is a member. Candidates come back in ascending
+    mask order.
     """
     members = list(frequent)
     if not members:
@@ -37,28 +47,14 @@ def join_candidates(frequent: Collection[ItemSet]) -> list[ItemSet]:
     for m in members:
         if m.width != width:
             raise ValueError("mixed item-set widths")
-    tuples = sorted(m.item_ids() for m in members)
-    member_set = set(tuples)
-
-    candidates: list[tuple[int, ...]] = []
-    start = 0
-    while start < len(tuples):
-        prefix = tuples[start][:-1]
-        end = start
-        while end < len(tuples) and tuples[end][:-1] == prefix:
-            end += 1
-        for a, b in combinations(range(start, end), 2):
-            candidates.append(prefix + (tuples[a][-1], tuples[b][-1]))
-        start = end
-
+    masks = {m.mask for m in members}
     kept = []
-    for candidate in candidates:
-        if all(
-            candidate[:i] + candidate[i + 1 :] in member_set
-            for i in range(len(candidate))
-        ):
-            kept.append(ItemSet.from_ids(candidate, width))
-    return kept
+    for mask in masks:
+        for item in range(mask.bit_length(), width):
+            candidate = mask | 1 << item
+            if all(child in masks for child in iter_child_masks(candidate)):
+                kept.append(candidate)
+    return [ItemSet(mask, width) for mask in sorted(kept)]
 
 
 def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[FrequentItemSet]:

@@ -14,19 +14,18 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .apriori import mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
-    Classification,
     ItemUniverseError,
     TransactionDatabase,
     canonical_key,
     format_result_line,
     parse_database,
 )
-from .lattice import classify_all
+from .lattice import LatticeEntry, classify_all
 from .monitor import (
     EventWindowConfig,
     ReplayOrderError,
@@ -34,7 +33,7 @@ from .monitor import (
     parse_events,
     replay,
 )
-from .rare import EMIT_BOTH, EMIT_CHOICES, MiningConfig, mine_rare
+from .rare import EMIT_BOTH, EMIT_CHOICES, MinedItemSet, MiningConfig, mine_rare
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -54,33 +53,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mine = sub.add_parser("mine", help="mine rare and non-present item-sets")
-    mine.add_argument("--input", required=True, help="transaction file (one whitespace-separated transaction per line)")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True, help="transaction file (one whitespace-separated transaction per line)")
+    files.add_argument("--max-items", type=int, default=DEFAULT_ITEM_CAP, metavar="CAP",
+                       help=f"item-universe cap (default {DEFAULT_ITEM_CAP})")
+    files.add_argument("--output", help="write results here atomically instead of standard output")
+
+    mine = sub.add_parser("mine", parents=[files], help="mine rare and non-present item-sets")
     mine.add_argument("--max-support", type=int, required=True, metavar="N",
                       help="exclusive upper support bound, in transactions")
     mine.add_argument("--emit", choices=EMIT_CHOICES, default=EMIT_BOTH,
                       help="which classes to report (default: both)")
     mine.add_argument("--no-prune", action="store_true",
                       help="disable candidate pruning (output is unchanged, only slower)")
-    mine.add_argument("--max-items", type=int, default=DEFAULT_ITEM_CAP, metavar="CAP",
-                      help=f"item-universe cap (default {DEFAULT_ITEM_CAP})")
-    mine.add_argument("--output", help="write results here atomically instead of standard output")
     mine.set_defaults(func=_cmd_mine)
 
-    frequent = sub.add_parser("frequent", help="mine frequent item-sets (classical baseline)")
-    frequent.add_argument("--input", required=True, help="transaction file")
+    frequent = sub.add_parser("frequent", parents=[files], help="mine frequent item-sets (classical baseline)")
     frequent.add_argument("--min-support", type=int, required=True, metavar="N",
                           help="inclusive minimum support, in transactions")
-    frequent.add_argument("--max-items", type=int, default=DEFAULT_ITEM_CAP, metavar="CAP")
-    frequent.add_argument("--output", help="write results here atomically instead of standard output")
     frequent.set_defaults(func=_cmd_frequent)
 
-    classify = sub.add_parser("classify", help="exhaustively classify every non-empty item-set")
-    classify.add_argument("--input", required=True, help="transaction file")
+    classify = sub.add_parser("classify", parents=[files], help="exhaustively classify every non-empty item-set",
+                              description="Exhaustively classify every non-empty item-set (at most 16 items).")
     classify.add_argument("--max-support", type=int, required=True, metavar="N")
-    classify.add_argument("--max-items", type=int, default=DEFAULT_ITEM_CAP, metavar="CAP",
-                          help="parse-time item-universe cap (the enumeration itself is capped at 16 items)")
-    classify.add_argument("--output", help="write results here atomically instead of standard output")
     classify.set_defaults(func=_cmd_classify)
 
     monitor = sub.add_parser("monitor", help="replay an event stream and alert on recurring rare patterns")
@@ -120,48 +115,47 @@ def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
         raise
 
 
-def _validated_sigma(value: int, db: TransactionDatabase, flag: str) -> int:
-    if not 1 <= value <= len(db) + 1:
+def _mine_file(
+    args: argparse.Namespace,
+    flag: str,
+    threshold: int,
+    mine: Callable[[TransactionDatabase, int], Iterable],
+) -> int:
+    """Load `--input`, check `threshold` against it, mine, format and write.
+
+    `mine(db, threshold)` returns results in output order, each with an
+    `itemset`, a `support` and a `classification`.
+    """
+    db = parse_database(_read_text(args.input), max_items=args.max_items)
+    if not 1 <= threshold <= len(db) + 1:
         raise _UsageError(
-            f"{flag} must lie in [1, |D|+1] = [1, {len(db) + 1}], got {value}"
+            f"{flag} must lie in [1, |D|+1] = [1, {len(db) + 1}], got {threshold}"
         )
-    return value
+    lines = [
+        format_result_line(r.itemset, r.support, r.classification, db)
+        for r in mine(db, threshold)
+    ]
+    _write_output(lines, args.output)
+    return EXIT_OK
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    db = parse_database(_read_text(args.input), max_items=args.max_items)
-    sigma = _validated_sigma(args.max_support, db, "--max-support")
-    config = MiningConfig(sigma, pruning_enabled=not args.no_prune, emit=args.emit)
-    lines = [
-        format_result_line(r.itemset, r.support, r.classification, db)
-        for r in mine_rare(db, config)
-    ]
-    _write_output(lines, args.output)
-    return EXIT_OK
+    def mine(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
+        config = MiningConfig(sigma, pruning_enabled=not args.no_prune, emit=args.emit)
+        return mine_rare(db, config)
+
+    return _mine_file(args, "--max-support", args.max_support, mine)
 
 
 def _cmd_frequent(args: argparse.Namespace) -> int:
-    db = parse_database(_read_text(args.input), max_items=args.max_items)
-    minsupp = _validated_sigma(args.min_support, db, "--min-support")
-    lines = [
-        format_result_line(r.itemset, r.support, Classification.FREQUENT, db)
-        for r in mine_frequent(db, minsupp)
-    ]
-    _write_output(lines, args.output)
-    return EXIT_OK
+    return _mine_file(args, "--min-support", args.min_support, mine_frequent)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    db = parse_database(_read_text(args.input), max_items=args.max_items)
-    sigma = _validated_sigma(args.max_support, db, "--max-support")
-    entries = classify_all(db, sigma)
-    entries.sort(key=lambda e: canonical_key(e.itemset, db))
-    lines = [
-        format_result_line(e.itemset, e.support, e.classification, db)
-        for e in entries
-    ]
-    _write_output(lines, args.output)
-    return EXIT_OK
+    def classify(db: TransactionDatabase, sigma: int) -> list[LatticeEntry]:
+        return sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset, db))
+
+    return _mine_file(args, "--max-support", args.max_support, classify)
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
@@ -189,10 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"rareminer: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ItemUniverseError, ReplayOrderError) as exc:
+    except (_UsageError, ItemUniverseError, ReplayOrderError) as exc:
         print(f"rareminer: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

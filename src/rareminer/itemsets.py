@@ -103,6 +103,15 @@ class ItemSet:
         return ItemSet(self.mask & other.mask, self.width)
 
 
+def iter_child_masks(mask: int) -> Iterator[int]:
+    """All subsets of `mask` with exactly one bit cleared, lowest bit first."""
+    bits = mask
+    while bits:
+        low = bits & -bits
+        yield mask ^ low
+        bits ^= low
+
+
 def combinable(a: ItemSet, b: ItemSet, k: int) -> bool:
     """True iff both operands have k+1 items and share exactly k of them.
 
@@ -161,11 +170,6 @@ class TransactionDatabase:
         """Number of transactions |D|."""
         return len(self._transactions)
 
-    @property
-    def transaction_masks(self) -> tuple[int, ...]:
-        """Raw transaction bit-vectors, for callers working at the mask level."""
-        return self._masks
-
     def item_id(self, label: str) -> int:
         try:
             return self._index[label]
@@ -206,31 +210,31 @@ class TransactionDatabase:
         return self.support_of_mask(itemset.mask)
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(0-based line index, line) of every line that is not blank or a comment.
+
+    A line ends at '\n' only, and one trailing '\r' is dropped, so CRLF files
+    read like LF files while form feeds and Unicode line separators stay
+    inside their line. Blank lines and lines starting with '#' are skipped.
+    """
+    for i, line in enumerate(text.split("\n")):
+        if line.strip() and not line.startswith("#"):
+            yield i, line.removesuffix("\r")
+
+
 def parse_database(text: str, *, max_items: int = DEFAULT_ITEM_CAP) -> TransactionDatabase:
     """Parse transaction text: one transaction per line, whitespace-separated.
 
     Tokens are arbitrary non-whitespace labels (numeric ids parse unchanged).
-    Blank lines and lines starting with '#' are ignored; duplicate tokens
-    within a line collapse to one membership. Items are interned in order of
-    first appearance; each transaction keeps its source line index as its id.
+    Lines are read by `content_lines`; duplicate tokens within a line
+    collapse to one membership. Items are interned in order of first
+    appearance; each transaction keeps its source line index as its id.
 
     Raises ItemUniverseError when the input holds more than `max_items`
     distinct items.
     """
-    index: dict[str, int] = {}
-    rows: list[tuple[int, list[int]]] = []
-    for lineno, line in enumerate(text.splitlines()):
-        if line.startswith("#") or not line.strip():
-            continue
-        ids = [index.setdefault(token, len(index)) for token in line.split()]
-        rows.append((lineno, ids))
-    if len(index) > max_items:
-        raise ItemUniverseError(len(index), max_items)
-    width = len(index)
-    transactions = [
-        Transaction(lineno, ItemSet.from_ids(ids, width)) for lineno, ids in rows
-    ]
-    return TransactionDatabase(tuple(index), transactions)
+    rows = ((lineno, line.split()) for lineno, line in content_lines(text))
+    return _build(rows, None, max_items)
 
 
 def database_from_transactions(
@@ -246,33 +250,33 @@ def database_from_transactions(
     items are interned in first-appearance order. Empty transactions are
     skipped: they can never affect the support of a non-empty item-set.
     """
-    rows: list[list[int]] = []
-    if universe is not None:
-        index = {label: i for i, label in enumerate(universe)}
-        if len(index) != len(tuple(universe)):
-            raise ValueError("duplicate labels in the item universe")
-        for row in transactions:
-            ids = []
-            for label in row:
-                if label not in index:
-                    raise ValueError(f"item label {label!r} not in the given universe")
-                ids.append(index[label])
-            rows.append(ids)
-        labels = tuple(universe)
-    else:
-        index = {}
-        for row in transactions:
-            rows.append([index.setdefault(label, len(index)) for label in row])
-        labels = tuple(index)
-    if len(labels) > max_items:
-        raise ItemUniverseError(len(labels), max_items)
-    width = len(labels)
-    built = [
-        Transaction(i, ItemSet.from_ids(ids, width))
-        for i, ids in enumerate(rows)
-        if ids
+    return _build(enumerate(transactions), universe, max_items)
+
+
+def _build(
+    rows: Iterable[tuple[int, Iterable[str]]],
+    universe: Optional[Sequence[str]],
+    max_items: int,
+) -> TransactionDatabase:
+    """Intern `(id, labels)` rows, check the item cap, and build the database.
+
+    Labels get ids after those of `universe`, in order of first appearance,
+    so a label outside a given universe shows up as an id beyond it.
+    """
+    fixed = () if universe is None else tuple(universe)
+    index = {label: i for i, label in enumerate(fixed)}
+    if len(index) != len(fixed):
+        raise ValueError("duplicate labels in the item universe")
+    id_rows = [(i, [index.setdefault(label, len(index)) for label in row]) for i, row in rows]
+    if universe is not None and len(index) > len(fixed):
+        raise ValueError(f"item label {list(index)[len(fixed)]!r} not in the given universe")
+    if len(index) > max_items:
+        raise ItemUniverseError(len(index), max_items)
+    width = len(index)
+    transactions = [
+        Transaction(i, ItemSet.from_ids(ids, width)) for i, ids in id_rows if ids
     ]
-    return TransactionDatabase(labels, built)
+    return TransactionDatabase(tuple(index), transactions)
 
 
 def canonical_key(itemset: ItemSet, db: TransactionDatabase) -> tuple[int, str]:

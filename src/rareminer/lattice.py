@@ -29,13 +29,6 @@ class LatticeEntry:
     classification: Classification
 
 
-def _check_cap(db: TransactionDatabase, max_items: int) -> None:
-    if db.width > max_items:
-        raise ItemUniverseError(
-            db.width, max_items, what="item universe for exhaustive enumeration"
-        )
-
-
 def classify_all(
     db: TransactionDatabase, sigma: int, *, max_items: int = ORACLE_ITEM_CAP
 ) -> list[LatticeEntry]:
@@ -47,7 +40,10 @@ def classify_all(
     """
     if sigma < 1:
         raise ValueError(f"sigma must be at least 1, got {sigma}")
-    _check_cap(db, max_items)
+    if db.width > max_items:
+        raise ItemUniverseError(
+            db.width, max_items, what="item universe for exhaustive enumeration"
+        )
     entries = []
     for mask in range(1, 1 << db.width):
         support = db.support_of_mask(mask)
@@ -62,9 +58,4 @@ def coverage(db: TransactionDatabase, *, max_items: int = ORACLE_ITEM_CAP) -> li
 
     Equals the union of the frequent and rare classes for any sigma.
     """
-    _check_cap(db, max_items)
-    return [
-        ItemSet(mask, db.width)
-        for mask in range(1, 1 << db.width)
-        if db.support_of_mask(mask) >= 1
-    ]
+    return [e.itemset for e in classify_all(db, 1, max_items=max_items) if e.support >= 1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .itemsets import database_from_transactions
+from .itemsets import content_lines, database_from_transactions
 from .rare import EMIT_RARE, MiningConfig, mine_rare
 
 log = logging.getLogger(__name__)
@@ -111,27 +111,24 @@ class ParsedEvents:
 def parse_events(text: str) -> ParsedEvents:
     """Parse replay lines of the form `<timestamp_ms> <item> <item> ...`.
 
-    Blank and '#'-prefixed lines are skipped silently. Malformed lines
-    (non-integer or negative timestamp, no items) are skipped with a counted
-    warning and never abort the replay. Duplicate items within a line
-    collapse, keeping first-seen order. Timestamps must be non-decreasing;
-    a violation raises ReplayOrderError.
+    Lines are read by `content_lines`, so blank and '#'-prefixed lines are
+    skipped silently. Malformed lines (a timestamp that is not all ASCII
+    decimal digits, no items) are skipped with a counted warning and never
+    abort the replay. Duplicate items within a line collapse, keeping
+    first-seen order. Timestamps must be non-decreasing; a violation raises
+    ReplayOrderError.
     """
     events: list[Event] = []
     skipped = 0
     last_timestamp: Optional[int] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#") or not line.strip():
-            continue
+    for index, line in content_lines(text):
+        lineno = index + 1
         tokens = line.split()
-        try:
-            timestamp = int(tokens[0])
-        except ValueError:
-            timestamp = -1
-        if timestamp < 0 or len(tokens) < 2:
+        if not (tokens[0].isascii() and tokens[0].isdigit()) or len(tokens) < 2:
             skipped += 1
             log.warning("skipping malformed event line %d: %r", lineno, line)
             continue
+        timestamp = int(tokens[0])
         if last_timestamp is not None and timestamp < last_timestamp:
             raise ReplayOrderError(
                 f"non-monotone timestamps in replay: line {lineno} has "

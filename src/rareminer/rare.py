@@ -21,6 +21,7 @@ from .itemsets import (
     TransactionDatabase,
     canonical_key,
     classify_support,
+    iter_child_masks,
 )
 
 EMIT_RARE = "rare"
@@ -77,15 +78,6 @@ class LevelState:
     frequent_record: tuple[ItemSet, ...]
 
 
-def _iter_child_masks(mask: int) -> Iterator[int]:
-    """All subsets of `mask` with exactly one bit cleared."""
-    bits = mask
-    while bits:
-        low = bits & -bits
-        yield mask ^ low
-        bits ^= low
-
-
 def _generate_masks(level_masks: Collection[int]) -> list[int]:
     # The intersection of two distinct (k+1)-sets has k items exactly when
     # both are one-item extensions of the same k-set, so a k-set is a
@@ -94,7 +86,7 @@ def _generate_masks(level_masks: Collection[int]) -> list[int]:
     # literal pairwise intersection is quadratic; the output is identical.
     parents: Counter[int] = Counter()
     for mask in level_masks:
-        for child in _iter_child_masks(mask):
+        for child in iter_child_masks(mask):
             parents[child] += 1
     return sorted(child for child, n in parents.items() if n >= 2)
 
@@ -102,7 +94,7 @@ def _generate_masks(level_masks: Collection[int]) -> list[int]:
 def _prune_masks(candidates: Iterable[int], frequent_record: Collection[int]) -> list[int]:
     # Candidates are one item smaller than the record's members, so "subset
     # of a frequent item-set" reduces to "one-bit child of one".
-    doomed = {child for mask in frequent_record for child in _iter_child_masks(mask)}
+    doomed = {child for mask in frequent_record for child in iter_child_masks(mask)}
     return [c for c in candidates if c not in doomed]
 
 
@@ -118,6 +110,17 @@ def _evaluate_masks(
         else:
             frequent.append(mask)
     return kept, frequent
+
+
+def _wrap(
+    kept: Iterable[tuple[int, int]], frequent: Iterable[int], width: int, sigma: int
+) -> tuple[list[MinedItemSet], list[ItemSet]]:
+    """Result objects for one evaluated level: classified kept masks, frequent masks."""
+    mined = [
+        MinedItemSet(ItemSet(mask, width), support, classify_support(support, sigma))
+        for mask, support in kept
+    ]
+    return mined, [ItemSet(mask, width) for mask in frequent]
 
 
 def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
@@ -145,13 +148,8 @@ def prune_candidates(
 ) -> list[ItemSet]:
     """Drop every candidate that is a subset of a frequent item-set one level up."""
     members = list(candidates)
-    if not members:
-        return []
-    width = members[0].width
-    kept = _prune_masks(
-        [c.mask for c in members], {f.mask for f in frequent_record}
-    )
-    return [ItemSet(mask, width) for mask in kept]
+    kept = set(_prune_masks([c.mask for c in members], {f.mask for f in frequent_record}))
+    return [c for c in members if c.mask in kept]
 
 
 def evaluate_candidates(
@@ -164,12 +162,7 @@ def evaluate_candidates(
     prune the next level down.
     """
     kept, frequent = _evaluate_masks((c.mask for c in candidates), db, sigma)
-    width = db.width
-    mined = [
-        MinedItemSet(ItemSet(mask, width), support, classify_support(support, sigma))
-        for mask, support in kept
-    ]
-    return mined, [ItemSet(mask, width) for mask in frequent]
+    return _wrap(kept, frequent, db.width, sigma)
 
 
 def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[LevelState]:
@@ -181,37 +174,22 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
     as a level has no survivors. The empty set is never a candidate.
     """
     width = db.width
-    if width == 0:
-        return
     sigma = config.sigma
-
-    def level_state(k: int, kept: list[tuple[int, int]], frequent: list[int]) -> LevelState:
-        mined = tuple(
-            MinedItemSet(ItemSet(mask, width), support, classify_support(support, sigma))
-            for mask, support in kept
-        )
-        record = tuple(ItemSet(mask, width) for mask in frequent)
-        return LevelState(k, mined, record)
-
     full = (1 << width) - 1
-    kept, frequent = _evaluate_masks([full], db, sigma)
-    yield level_state(width, kept, frequent)
-    if not kept or width == 1:
-        return
-
-    # Seed level |I|-1 with every one-item reduction of the full item-set.
-    candidates = sorted(_iter_child_masks(full))
-    kept, frequent = _evaluate_masks(candidates, db, sigma)
-    yield level_state(width - 1, kept, frequent)
-
-    for k in range(width - 2, 0, -1):
+    candidates = [full]
+    for k in range(width, 0, -1):
+        kept, frequent = _evaluate_masks(candidates, db, sigma)
+        mined, record = _wrap(kept, frequent, width, sigma)
+        yield LevelState(k, tuple(mined), tuple(record))
         if not kept:
             return
-        candidates = _generate_masks([mask for mask, _ in kept])
-        if config.pruning_enabled:
-            candidates = _prune_masks(candidates, frequent)
-        kept, frequent = _evaluate_masks(candidates, db, sigma)
-        yield level_state(k, kept, frequent)
+        if k == width:
+            # Seed level |I|-1 with every one-item reduction of the full item-set.
+            candidates = sorted(iter_child_masks(full))
+        else:
+            candidates = _generate_masks([mask for mask, _ in kept])
+            if config.pruning_enabled:
+                candidates = _prune_masks(candidates, frequent)
 
 
 def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSet]:

@@ -6,12 +6,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import WORKED_DB_SUPPORTS, random_database
+from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, random_database
 from rareminer import (
     Classification,
+    ItemSet,
     MiningConfig,
     classify_all,
+    database_from_transactions,
     join_candidates,
     mine_frequent,
     mine_rare,
@@ -130,3 +134,56 @@ class TestProperties:
                         for i in subset:
                             sub_mask |= 1 << i
                         assert sub_mask in frequent
+
+
+def mask_of(ids):
+    return sum(1 << i for i in ids)
+
+
+@st.composite
+def k_set_families(draw):
+    """(width, k, distinct k-set masks) over at most 8 items."""
+    width = draw(st.integers(1, 8))
+    k = draw(st.integers(1, width))
+    all_k_sets = [mask_of(ids) for ids in combinations(range(width), k)]
+    return width, k, draw(st.lists(st.sampled_from(all_k_sets), unique=True))
+
+
+@st.composite
+def small_databases(draw):
+    """(database over at most 8 items, minsupp in [1, |D|+1])."""
+    universe = CORPUS_LABELS[: draw(st.integers(1, 8))]
+    rows = draw(st.lists(st.lists(st.sampled_from(universe), min_size=1), max_size=30))
+    db = database_from_transactions(rows, universe=universe)
+    return db, draw(st.integers(1, len(db) + 1))
+
+
+class TestMaskJoin:
+    @settings(deadline=None, max_examples=200)
+    @given(k_set_families())
+    def test_join_is_exactly_the_extensions_with_all_subsets_members(self, case):
+        width, k, family = case
+        members = set(family)
+        expected = sorted(
+            mask_of(ids)
+            for ids in combinations(range(width), k + 1)
+            if all(mask_of(sub) in members for sub in combinations(ids, k))
+        )
+        got = join_candidates([ItemSet(mask, width) for mask in family])
+        assert [c.mask for c in got] == expected
+        assert all(c.width == width for c in got)
+
+    @settings(deadline=None, max_examples=100)
+    @given(small_databases())
+    def test_mine_frequent_equals_the_oracle_frequent_class(self, case):
+        db, minsupp = case
+        expected = sorted(
+            (
+                (e.itemset, e.support)
+                for e in classify_all(db, minsupp)
+                if e.classification is Classification.FREQUENT
+            ),
+            key=lambda pair: (pair[0].cardinality, db.render(pair[0])),
+        )
+        got = [(r.itemset, r.support) for r in mine_frequent(db, minsupp)]
+        assert got == expected

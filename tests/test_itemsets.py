@@ -240,3 +240,20 @@ def test_round_trip_worked_database(worked_db):
     assert [set(reparsed.labels_of(t.items)) for t in reparsed.transactions] == [
         set(worked_db.labels_of(t.items)) for t in worked_db.transactions
     ]
+
+
+class TestLineEnds:
+    """A transaction line ends at '\\n' only; one trailing '\\r' is dropped."""
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
+    def test_form_feed_and_line_separator_stay_in_their_line(self, separator):
+        db = parse_database(f"a b{separator}c d\n")
+        assert len(db) == 1
+        assert db.labels == ("a", "b", "c", "d")
+
+    def test_crlf_reads_like_lf(self):
+        text = "# header\na b\n\n   \nb c\n"
+        crlf = parse_database(text.replace("\n", "\r\n"))
+        lf = parse_database(text)
+        assert crlf.labels == lf.labels == ("a", "b", "c")
+        assert crlf.transactions == lf.transactions

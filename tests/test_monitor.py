@@ -82,6 +82,36 @@ class TestEventParsing:
             Event(0, ())
 
 
+class TestEventLineEnds:
+    """An event line ends at '\n' only; one trailing '\r' is dropped."""
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028"])
+    def test_form_feed_and_line_separator_stay_in_their_line(self, separator):
+        parsed = parse_events(f"5 a b{separator}c\n")
+        assert parsed.events == (Event(5, ("a", "b", "c")),)
+        assert parsed.skipped == 0
+
+    def test_crlf_reads_like_lf(self):
+        text = "# header\n10 a b\n\n20\noops x\n30 b\n"
+        assert parse_events(text.replace("\n", "\r\n")) == parse_events(text)
+
+
+class TestEventTimestamps:
+    """A timestamp is all ASCII decimal digits; any other line is skipped and counted."""
+
+    @pytest.mark.parametrize("stamp", ["+5", "1_000", "\u0663"])
+    def test_int_literals_beyond_ascii_digits_skipped(self, stamp):
+        parsed = parse_events(f"{stamp} a\n7 b\n")
+        assert parsed.events == (Event(7, ("b",)),)
+        assert parsed.skipped == 1
+
+    @pytest.mark.parametrize("line", ["-5 a", "t5 a", "5"])
+    def test_signed_prefixed_and_bare_timestamps_still_skipped(self, line):
+        parsed = parse_events(f"{line}\n7 b\n")
+        assert parsed.events == (Event(7, ("b",)),)
+        assert parsed.skipped == 1
+
+
 class TestConfig:
     def test_window_is_exactly_cycles_times_duration(self, tmp_path):
         assert config(tmp_path, cycles=3, duration=250).window_ms == 750
