@@ -7,12 +7,13 @@ miner, an exhaustive lattice classifier, and an event-window monitor that
 alerts on recurring rare patterns round out the toolkit.
 """
 
-from .apriori import FrequentItemSet, join_candidates, mine_frequent
+from .apriori import join_candidates, mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
     Classification,
     ItemSet,
     ItemUniverseError,
+    MinedItemSet,
     Transaction,
     TransactionDatabase,
     combinable,
@@ -20,7 +21,7 @@ from .itemsets import (
     format_result_line,
     parse_database,
 )
-from .lattice import LatticeEntry, classify_all, coverage
+from .lattice import classify_all, coverage
 from .monitor import (
     Alert,
     Event,
@@ -39,7 +40,6 @@ from .rare import (
     EMIT_NONPRESENT,
     EMIT_RARE,
     LevelState,
-    MinedItemSet,
     MiningConfig,
     evaluate_candidates,
     generate_candidates,
@@ -57,10 +57,8 @@ __all__ = [
     "Classification",
     "Event",
     "EventWindowConfig",
-    "FrequentItemSet",
     "ItemSet",
     "ItemUniverseError",
-    "LatticeEntry",
     "LevelState",
     "MinedItemSet",
     "MiningConfig",

@@ -1,35 +1,29 @@
-"""Classical top-down frequent item-set mining.
+"""Classical frequent item-set mining, from single items up.
 
 Level-wise Apriori search in the style of Agrawal & Srikant (VLDB 1994):
 count single items, then repeatedly join the frequent k-sets into (k+1)-
-candidates and count them. The join works on bit-vector masks: each
-frequent k-set is extended by one item above its highest member, and the
-extension is kept only when all of its one-item reductions are frequent
-k-sets, so every candidate is generated once and none has an infrequent
-k-subset. The minimum support threshold is inclusive, so mining with
-minsupp equal to the rare miner's exclusive maximum makes the two outputs
-partition the lattice of non-empty item-sets.
+candidates and count them, growing toward larger item-sets. The join
+works on bit-vector masks: each frequent k-set is extended by one item
+above its highest member, and the extension is kept only when all of its
+one-item reductions are frequent k-sets, so every candidate is generated
+once and none has an infrequent k-subset. The minimum support threshold
+is inclusive, so mining with minsupp equal to the rare miner's exclusive
+maximum makes the two outputs partition the lattice of non-empty
+item-sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Collection
+from typing import Collection
 
 from .itemsets import (
     Classification,
     ItemSet,
+    MinedItemSet,
     TransactionDatabase,
     canonical_key,
     iter_child_masks,
 )
-
-
-@dataclass(frozen=True)
-class FrequentItemSet:
-    itemset: ItemSet
-    support: int
-    classification: ClassVar[Classification] = Classification.FREQUENT
 
 
 def join_candidates(frequent: Collection[ItemSet]) -> list[ItemSet]:
@@ -57,7 +51,7 @@ def join_candidates(frequent: Collection[ItemSet]) -> list[ItemSet]:
     return [ItemSet(mask, width) for mask in sorted(kept)]
 
 
-def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[FrequentItemSet]:
+def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[MinedItemSet]:
     """Exactly the non-empty item-sets with support >= minsupp (inclusive).
 
     Results carry exact supports and come back sorted by (cardinality,
@@ -65,7 +59,7 @@ def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[FrequentItemSet
     """
     if minsupp < 1:
         raise ValueError(f"minsupp must be at least 1, got {minsupp}")
-    results: list[FrequentItemSet] = []
+    results: list[MinedItemSet] = []
     level = [ItemSet.from_ids([i], db.width) for i in range(db.width)]
     while level:
         frequent_here = []
@@ -73,7 +67,7 @@ def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[FrequentItemSet
             support = db.support(itemset)
             if support >= minsupp:
                 frequent_here.append(itemset)
-                results.append(FrequentItemSet(itemset, support))
+                results.append(MinedItemSet(itemset, support, Classification.FREQUENT))
         if not frequent_here:
             break
         level = join_candidates(frequent_here)

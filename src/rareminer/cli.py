@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -20,12 +21,13 @@ from .apriori import mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
     ItemUniverseError,
+    MinedItemSet,
     TransactionDatabase,
     canonical_key,
     format_result_line,
     parse_database,
 )
-from .lattice import LatticeEntry, classify_all
+from .lattice import classify_all
 from .monitor import (
     EventWindowConfig,
     ReplayOrderError,
@@ -33,7 +35,7 @@ from .monitor import (
     parse_events,
     replay,
 )
-from .rare import EMIT_BOTH, EMIT_CHOICES, MinedItemSet, MiningConfig, mine_rare
+from .rare import EMIT_BOTH, EMIT_CHOICES, MiningConfig, mine_rare
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -102,9 +104,18 @@ def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     target = Path(path)
+    # mkstemp creates its file 0600; give the result the mode the replaced
+    # file had, or the one `open(path, "w")` would give a new file.
+    try:
+        mode = stat.S_IMODE(target.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -119,12 +130,11 @@ def _mine_file(
     args: argparse.Namespace,
     flag: str,
     threshold: int,
-    mine: Callable[[TransactionDatabase, int], Iterable],
+    mine: Callable[[TransactionDatabase, int], Iterable[MinedItemSet]],
 ) -> int:
     """Load `--input`, check `threshold` against it, mine, format and write.
 
-    `mine(db, threshold)` returns results in output order, each with an
-    `itemset`, a `support` and a `classification`.
+    `mine(db, threshold)` returns results in output order.
     """
     db = parse_database(_read_text(args.input), max_items=args.max_items)
     if not 1 <= threshold <= len(db) + 1:
@@ -152,7 +162,7 @@ def _cmd_frequent(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    def classify(db: TransactionDatabase, sigma: int) -> list[LatticeEntry]:
+    def classify(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
         return sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset, db))
 
     return _mine_file(args, "--max-support", args.max_support, classify)

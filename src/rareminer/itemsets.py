@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-# The bottom-up miner starts from the full item-set, and the number of rare
-# plus non-present item-sets can approach 2^|I|; the cap keeps that honest
-# at desk scale. Override per call where a larger universe is intended.
+# The rare miner walks from the full item-set down to single items, and the
+# number of rare plus non-present item-sets can approach 2^|I|; the cap keeps
+# that honest at desk scale. Override per call where a larger universe is
+# intended.
 DEFAULT_ITEM_CAP = 24
 
 
@@ -49,6 +50,18 @@ def classify_support(support: int, sigma: int) -> Classification:
     if support < sigma:
         return Classification.RARE
     return Classification.FREQUENT
+
+
+@dataclass(frozen=True, slots=True)
+class MinedItemSet:
+    """An item-set with its exact support and its class relative to sigma.
+
+    The one result type of every miner: rare, frequent and exhaustive.
+    """
+
+    itemset: ItemSet
+    support: int
+    classification: Classification
 
 
 def _require_same_width(a: "ItemSet", b: "ItemSet") -> None:

@@ -8,12 +8,10 @@ built to be obviously correct rather than fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .itemsets import (
-    Classification,
     ItemSet,
     ItemUniverseError,
+    MinedItemSet,
     TransactionDatabase,
     classify_support,
 )
@@ -22,16 +20,9 @@ from .itemsets import (
 ORACLE_ITEM_CAP = 16
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeEntry:
-    itemset: ItemSet
-    support: int
-    classification: Classification
-
-
 def classify_all(
     db: TransactionDatabase, sigma: int, *, max_items: int = ORACLE_ITEM_CAP
-) -> list[LatticeEntry]:
+) -> list[MinedItemSet]:
     """Support and class of every non-empty item-set over the universe.
 
     Classes: support >= sigma is frequent, 0 < support < sigma is rare,
@@ -48,7 +39,7 @@ def classify_all(
     for mask in range(1, 1 << db.width):
         support = db.support_of_mask(mask)
         entries.append(
-            LatticeEntry(ItemSet(mask, db.width), support, classify_support(support, sigma))
+            MinedItemSet(ItemSet(mask, db.width), support, classify_support(support, sigma))
         )
     return entries
 

@@ -1,7 +1,7 @@
-"""Bottom-up mining of rare and non-present item-sets.
+"""Mining of rare and non-present item-sets, from the full item-set down.
 
 The miner walks the item-set lattice from the single largest item-set (all
-interned items) down toward single items, one cardinality level at a time.
+interned items) down to single items, one cardinality level at a time.
 Adding items to an item-set can only shrink its support, so every superset
 of a low-support item-set also has low support: the descent reaches every
 rare and every non-present item-set. In the other direction, every subset
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
 from .itemsets import (
-    Classification,
     ItemSet,
+    MinedItemSet,
     TransactionDatabase,
     canonical_key,
     classify_support,
@@ -54,15 +54,6 @@ class MiningConfig:
 
 
 @dataclass(frozen=True)
-class MinedItemSet:
-    """An item-set with its exact support and rare/non-present class."""
-
-    itemset: ItemSet
-    support: int
-    classification: Classification
-
-
-@dataclass(frozen=True)
 class LevelState:
     """Outcome of testing one cardinality level.
 
@@ -78,57 +69,12 @@ class LevelState:
     frequent_record: tuple[ItemSet, ...]
 
 
-def _generate_masks(level_masks: Collection[int]) -> list[int]:
-    # The intersection of two distinct (k+1)-sets has k items exactly when
-    # both are one-item extensions of the same k-set, so a k-set is a
-    # candidate iff at least two of its (k+1)-supersets sit in the level.
-    # Counting parents per child is linear in the level size where the
-    # literal pairwise intersection is quadratic; the output is identical.
-    parents: Counter[int] = Counter()
-    for mask in level_masks:
-        for child in iter_child_masks(mask):
-            parents[child] += 1
-    return sorted(child for child, n in parents.items() if n >= 2)
-
-
-def _prune_masks(candidates: Iterable[int], frequent_record: Collection[int]) -> list[int]:
-    # Candidates are one item smaller than the record's members, so "subset
-    # of a frequent item-set" reduces to "one-bit child of one".
-    doomed = {child for mask in frequent_record for child in iter_child_masks(mask)}
-    return [c for c in candidates if c not in doomed]
-
-
-def _evaluate_masks(
-    candidates: Iterable[int], db: TransactionDatabase, sigma: int
-) -> tuple[list[tuple[int, int]], list[int]]:
-    kept: list[tuple[int, int]] = []
-    frequent: list[int] = []
-    for mask in candidates:
-        support = db.support_of_mask(mask)
-        if support < sigma:
-            kept.append((mask, support))
-        else:
-            frequent.append(mask)
-    return kept, frequent
-
-
-def _wrap(
-    kept: Iterable[tuple[int, int]], frequent: Iterable[int], width: int, sigma: int
-) -> tuple[list[MinedItemSet], list[ItemSet]]:
-    """Result objects for one evaluated level: classified kept masks, frequent masks."""
-    mined = [
-        MinedItemSet(ItemSet(mask, width), support, classify_support(support, sigma))
-        for mask, support in kept
-    ]
-    return mined, [ItemSet(mask, width) for mask in frequent]
-
-
 def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
     """All pairwise intersections of level members that share all but one item.
 
     Members must have one common width and one common cardinality k+1; the
     result is the deduplicated set of those k-item intersections, in
-    deterministic order.
+    ascending mask order.
     """
     members = list(level)
     if not members:
@@ -140,16 +86,26 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
             raise ValueError("mixed item-set widths in one level")
         if m.cardinality != cardinality:
             raise ValueError("mixed cardinalities in one level")
-    return [ItemSet(mask, width) for mask in _generate_masks({m.mask for m in members})]
+    # The intersection of two distinct (k+1)-sets has k items exactly when
+    # both are one-item extensions of the same k-set, so a k-set is a
+    # candidate iff at least two of its (k+1)-supersets sit in the level.
+    # Counting parents per child is linear in the level size where the
+    # literal pairwise intersection is quadratic; the output is identical.
+    parents: Counter[int] = Counter()
+    for mask in {m.mask for m in members}:
+        for child in iter_child_masks(mask):
+            parents[child] += 1
+    return [ItemSet(mask, width) for mask in sorted(c for c, n in parents.items() if n >= 2)]
 
 
 def prune_candidates(
     candidates: Iterable[ItemSet], frequent_record: Collection[ItemSet]
 ) -> list[ItemSet]:
     """Drop every candidate that is a subset of a frequent item-set one level up."""
-    members = list(candidates)
-    kept = set(_prune_masks([c.mask for c in members], {f.mask for f in frequent_record}))
-    return [c for c in members if c.mask in kept]
+    # Candidates are one item smaller than the record's members, so "subset
+    # of a frequent item-set" reduces to "one-bit child of one".
+    doomed = {child for f in frequent_record for child in iter_child_masks(f.mask)}
+    return [c for c in candidates if c.mask not in doomed]
 
 
 def evaluate_candidates(
@@ -161,8 +117,15 @@ def evaluate_candidates(
     non-present, the rest rare); the others form the frequent record used to
     prune the next level down.
     """
-    kept, frequent = _evaluate_masks((c.mask for c in candidates), db, sigma)
-    return _wrap(kept, frequent, db.width, sigma)
+    kept: list[MinedItemSet] = []
+    frequent: list[ItemSet] = []
+    for itemset in candidates:
+        support = db.support_of_mask(itemset.mask)
+        if support < sigma:
+            kept.append(MinedItemSet(itemset, support, classify_support(support, sigma)))
+        else:
+            frequent.append(itemset)
+    return kept, frequent
 
 
 def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[LevelState]:
@@ -174,22 +137,20 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
     as a level has no survivors. The empty set is never a candidate.
     """
     width = db.width
-    sigma = config.sigma
-    full = (1 << width) - 1
+    full = ItemSet.full(width)
     candidates = [full]
     for k in range(width, 0, -1):
-        kept, frequent = _evaluate_masks(candidates, db, sigma)
-        mined, record = _wrap(kept, frequent, width, sigma)
-        yield LevelState(k, tuple(mined), tuple(record))
+        kept, frequent = evaluate_candidates(candidates, db, config.sigma)
+        yield LevelState(k, tuple(kept), tuple(frequent))
         if not kept:
             return
         if k == width:
             # Seed level |I|-1 with every one-item reduction of the full item-set.
-            candidates = sorted(iter_child_masks(full))
+            candidates = [ItemSet(mask, width) for mask in sorted(iter_child_masks(full.mask))]
         else:
-            candidates = _generate_masks([mask for mask, _ in kept])
+            candidates = generate_candidates([m.itemset for m in kept])
             if config.pruning_enabled:
-                candidates = _prune_masks(candidates, frequent)
+                candidates = prune_candidates(candidates, frequent)
 
 
 def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSet]:

@@ -187,3 +187,12 @@ class TestMaskJoin:
         )
         got = [(r.itemset, r.support) for r in mine_frequent(db, minsupp)]
         assert got == expected
+
+
+class TestOneResultType:
+    @settings(deadline=None, max_examples=100)
+    @given(small_databases())
+    def test_rare_plus_frequent_is_the_oracle_as_objects(self, case):
+        db, sigma = case
+        union = mine_rare(db, MiningConfig(sigma)) + mine_frequent(db, sigma)
+        assert sorted(union, key=lambda r: r.itemset.mask) == classify_all(db, sigma)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from conftest import WORKED_DB_TEXT
@@ -130,6 +133,35 @@ class TestMine:
         )
         assert code == 0
         assert out == ""
+        assert target.read_text() == MINE_SIGMA3_EXPECTED
+
+    def test_new_output_file_gets_the_umask_mode(self, run, db_file, tmp_path):
+        target = tmp_path / "out.txt"
+        previous = os.umask(0o022)
+        try:
+            code, _, _ = run(
+                "mine", "--input", db_file, "--max-support", "3",
+                "--output", str(target),
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_replaced_output_file_keeps_its_mode(self, run, db_file, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("stale\n")
+        target.chmod(0o640)
+        previous = os.umask(0o022)
+        try:
+            code, _, _ = run(
+                "mine", "--input", db_file, "--max-support", "3",
+                "--output", str(target),
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert target.read_text() == MINE_SIGMA3_EXPECTED
 
     def test_runs_twice_identically(self, run, db_file):

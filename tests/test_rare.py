@@ -257,6 +257,31 @@ class TestProperties:
             }
             assert got == expected
 
+    def test_walk_is_its_public_steps(self):
+        rng = random.Random(20240807)
+        for _ in range(60):
+            db = random_database(rng)
+            sigma = rng.randint(1, len(db) + 1)
+            for pruning in (True, False):
+                levels = list(iter_levels(db, MiningConfig(sigma, pruning_enabled=pruning)))
+                full = ItemSet.full(db.width)
+                # One-item reductions of the full item-set, ascending by mask.
+                reductions = [ItemSet(full.mask ^ 1 << i, db.width) for i in reversed(range(db.width))]
+                for depth, level in enumerate(levels):
+                    assert level.k == db.width - depth
+                    if depth == 0:
+                        candidates = [full]
+                    elif depth == 1:
+                        candidates = reductions
+                    else:
+                        previous = levels[depth - 1]
+                        candidates = generate_candidates([m.itemset for m in previous.interesting])
+                        if pruning:
+                            candidates = prune_candidates(candidates, previous.frequent_record)
+                    kept, frequent = evaluate_candidates(candidates, db, sigma)
+                    assert (tuple(kept), tuple(frequent)) == (level.interesting, level.frequent_record)
+                assert levels[-1].k == 1 or not levels[-1].interesting
+
     def test_prune_invariance_bytes(self):
         rng = random.Random(20240804)
         for _ in range(60):
