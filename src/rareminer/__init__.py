@@ -7,7 +7,7 @@ miner, an exhaustive lattice classifier, and an event-window monitor that
 alerts on recurring rare patterns round out the toolkit.
 """
 
-from .apriori import join_candidates, mine_frequent
+from .apriori import iter_supported, join_candidates, mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
     Classification,
@@ -77,6 +77,7 @@ __all__ = [
     "format_result_line",
     "generate_candidates",
     "iter_levels",
+    "iter_supported",
     "join_candidates",
     "mine_frequent",
     "mine_rare",

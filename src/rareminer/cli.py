@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--emit", choices=EMIT_CHOICES, default=EMIT_BOTH,
                       help="which classes to report (default: both)")
     mine.add_argument("--no-prune", action="store_true",
-                      help="disable candidate pruning (output is unchanged, only slower)")
+                      help="disable candidate pruning for --emit both and nonpresent "
+                      "(output is unchanged, only slower; --emit rare never prunes)")
     mine.set_defaults(func=_cmd_mine)
 
     frequent = sub.add_parser("frequent", parents=[files], help="mine frequent item-sets (classical baseline)")
@@ -80,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--max-support", type=int, required=True, metavar="N")
     classify.set_defaults(func=_cmd_classify)
 
-    monitor = sub.add_parser("monitor", help="replay an event stream and alert on recurring rare patterns")
+    monitor = sub.add_parser("monitor", help="replay an event stream and alert on recurring rare patterns",
+                             epilog=f"A cycle with more than {DEFAULT_ITEM_CAP} distinct items is "
+                             "skipped with a warning, and its window cannot alert.")
     monitor.add_argument("--events", required=True, help="event file: `<timestamp_ms> <item> <item> ...` per line")
     monitor.add_argument("--max-support", type=int, required=True, metavar="N",
                          help="per-cycle exclusive upper support bound")
@@ -103,7 +106,8 @@ def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    target = Path(path)
+    # Resolve a symlink first, so the link stays and its target gets the result.
+    target = Path(os.path.realpath(path))
     # mkstemp creates its file 0600; give the result the mode the replaced
     # file had, or the one `open(path, "w")` would give a new file.
     try:
@@ -181,11 +185,18 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     config = EventWindowConfig(args.max_support, args.cycles, args.cycle_duration, args.store)
-    replay(
+    reports = replay(
         parsed.events,
         config,
         alert_sink=lambda alert: sys.stdout.write(format_alert_line(alert) + "\n"),
     )
+    skipped_cycles = sum(report.skipped_cycles for report in reports)
+    if skipped_cycles:
+        print(
+            f"rareminer: warning: skipped {skipped_cycles} cycle(s) with more than "
+            f"{DEFAULT_ITEM_CAP} distinct items",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -6,6 +6,10 @@ bucket, and a pattern that shows up rare in every cycle of a window raises
 an alert. Only observed-but-rare patterns count toward recurrence:
 item-sets that never occurred are ignored, because an absent combination is
 not an observed behaviour and would otherwise alert on every window.
+Each cycle is mined rare-only, which walks just the item-sets present in
+its bucket. A cycle holding more distinct items than `DEFAULT_ITEM_CAP` is
+skipped with a logged warning and counted in its window's report; the
+replay goes on.
 
 Replay mode is fully deterministic: the same event file and configuration
 produce identical alerts and identical store bytes.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .itemsets import content_lines, database_from_transactions
+from .itemsets import ItemUniverseError, content_lines, database_from_transactions
 from .rare import EMIT_RARE, MiningConfig, mine_rare
 
 log = logging.getLogger(__name__)
@@ -96,10 +100,13 @@ class Alert:
 
 @dataclass(frozen=True)
 class WindowReport:
+    """One window's outcome; `skipped_cycles` counts cycles over the item cap."""
+
     window_start: int
     events_processed: int
     recurrences: tuple[PatternRecurrence, ...]
     alerts: tuple[Alert, ...]
+    skipped_cycles: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,10 +158,12 @@ def run_window(
     Events are bucketed by timestamp arithmetic relative to `window_start`
     (the first event's timestamp when omitted); every event belongs to
     exactly one cycle and empty buckets are legal. Each bucket is mined
-    independently at the window's threshold. After the last cycle, every
-    pattern found rare in at least `cycles` cycles (that is, in all of them)
-    is reported once through `alert_sink`; then the recurrence table is
-    appended to the store and discarded.
+    independently at the window's threshold; a bucket with more distinct
+    items than the default item cap is skipped with a warning and counted
+    in the report, and finds nothing, so that window cannot alert. After the
+    last cycle, every pattern found rare in at least `cycles` cycles (that
+    is, in all of them) is reported once through `alert_sink`; then the
+    recurrence table is appended to the store and discarded.
     """
     events = list(events)
     if window_start is None:
@@ -170,8 +179,14 @@ def run_window(
         buckets[(event.timestamp - window_start) // config.duration_ms].append(event)
 
     supports_by_pattern: dict[tuple[str, ...], dict[int, int]] = {}
+    skipped_cycles = 0
     for cycle, bucket in enumerate(buckets):
-        db = database_from_transactions(event.items for event in bucket)
+        try:
+            db = database_from_transactions(event.items for event in bucket)
+        except ItemUniverseError as exc:
+            skipped_cycles += 1
+            log.warning("skipping cycle %d of the window at %d ms: %s", cycle, window_start, exc)
+            continue
         for found in mine_rare(db, MiningConfig(config.sigma, emit=EMIT_RARE)):
             labels = db.labels_of(found.itemset)
             supports_by_pattern.setdefault(labels, {})[cycle] = found.support
@@ -192,7 +207,9 @@ def run_window(
                 )
             )
 
-    report = WindowReport(window_start, len(events), tuple(recurrences), tuple(alerts))
+    report = WindowReport(
+        window_start, len(events), tuple(recurrences), tuple(alerts), skipped_cycles
+    )
     if alert_sink is not None:
         for alert in report.alerts:
             alert_sink(alert)

@@ -6,7 +6,16 @@ Adding items to an item-set can only shrink its support, so every superset
 of a low-support item-set also has low support: the descent reaches every
 rare and every non-present item-set. In the other direction, every subset
 of a frequent item-set is frequent, which lets the miner drop candidates
-lying below a known frequent item-set without counting them.
+lying below a known frequent item-set without counting them. The number of
+rare plus non-present item-sets can approach 2^|I|, and so can this walk.
+
+Rare-only mining (`emit=rare`) takes another route. Every subset of a
+present item-set is present, so the rare item-sets are exactly the present
+ones with support below sigma, and the bottom-up Apriori walk with minsupp
+1 (`apriori.iter_supported`) enumerates them. The only non-present
+item-sets it counts are candidates whose one-item reductions are all
+present, so its cost grows with the present item-sets, not with 2^|I|; the
+output is the same as filtering the top-down walk.
 """
 
 from __future__ import annotations
@@ -15,7 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator
 
+from .apriori import iter_supported
 from .itemsets import (
+    Classification,
     ItemSet,
     MinedItemSet,
     TransactionDatabase,
@@ -39,7 +50,10 @@ class MiningConfig:
     |D| + 1 (no support can reach them), which keeps mining legal on
     arbitrarily small buckets such as empty monitoring cycles; front ends
     that want the strict `sigma <= |D| + 1` contract enforce it themselves.
-    Disabling pruning never changes the output, only the work done.
+    Pruning applies only to `both` and `nonpresent`, the top-down walk, and
+    disabling it never changes the output, only the work done; `rare` walks
+    the present item-sets bottom-up, and neither its output nor its work
+    depends on `pruning_enabled`.
     """
 
     sigma: int
@@ -160,13 +174,27 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     or non-present (support 0), filtered by `config.emit` and sorted by
     (cardinality, rendered labels). A database whose full item-set is
     frequent yields an empty result: no rare or non-present item-set exists.
+    `emit=rare` walks only the present item-sets, bottom-up; `both` and
+    `nonpresent` walk the lattice top-down with `iter_levels`.
     """
-    results: list[MinedItemSet] = []
-    for level in iter_levels(db, config):
-        results.extend(level.interesting)
     if config.emit == EMIT_RARE:
-        results = [r for r in results if r.support > 0]
-    elif config.emit == EMIT_NONPRESENT:
-        results = [r for r in results if r.support == 0]
+        results = _mine_rare_only(db, config.sigma)
+    else:
+        results = [r for level in iter_levels(db, config) for r in level.interesting]
+        if config.emit == EMIT_NONPRESENT:
+            results = [r for r in results if r.support == 0]
     results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results
+
+
+def _mine_rare_only(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
+    """The present item-sets with support below sigma, in walk order."""
+    # A frequent full item-set makes every item-set frequent; one count
+    # settles it, as it does at the top of the top-down walk.
+    if db.support_of_mask(db.full_itemset().mask) >= sigma:
+        return []
+    return [
+        MinedItemSet(itemset, support, Classification.RARE)
+        for itemset, support in iter_supported(db, 1)
+        if support < sigma
+    ]

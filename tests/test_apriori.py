@@ -16,6 +16,7 @@ from rareminer import (
     MiningConfig,
     classify_all,
     database_from_transactions,
+    iter_supported,
     join_candidates,
     mine_frequent,
     mine_rare,
@@ -196,3 +197,15 @@ class TestOneResultType:
         db, sigma = case
         union = mine_rare(db, MiningConfig(sigma)) + mine_frequent(db, sigma)
         assert sorted(union, key=lambda r: r.itemset.mask) == classify_all(db, sigma)
+
+
+class TestSupportedWalk:
+    @settings(deadline=None, max_examples=100)
+    @given(small_databases())
+    def test_yields_every_supported_itemset_once_by_level_then_mask(self, case):
+        db, minsupp = case
+        expected = sorted(
+            ((e.itemset, e.support) for e in classify_all(db, minsupp) if e.support >= minsupp),
+            key=lambda pair: (pair[0].cardinality, pair[0].mask),
+        )
+        assert list(iter_supported(db, minsupp)) == expected

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import stat
 
 import pytest
@@ -305,3 +307,56 @@ class TestMonitor:
         )
         assert code == 2
         assert "--max-support" in err
+
+
+class TestMonitorOverCapCycles:
+    def test_over_cap_cycle_is_skipped_with_a_count_on_stderr(self, run, tmp_path):
+        wide = " ".join(f"w{i}" for i in range(25))
+        events = tmp_path / "events.txt"
+        events.write_text(f"0 a\n1000 {wide}\n2000 a\n")
+        store = tmp_path / "store.jsonl"
+        code, out, err = run(
+            "monitor", "--events", str(events), "--max-support", "2",
+            "--cycles", "1", "--cycle-duration", "1000", "--store", str(store),
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "ALERT window=0 pattern=a cycles=1",
+            "ALERT window=2000 pattern=a cycles=1",
+        ]
+        assert "skipped 1 cycle(s) with more than 24 distinct items" in err
+        starts = [json.loads(line)["window_start"] for line in store.read_text().splitlines()]
+        assert starts == [0, 2000]
+
+
+class TestOutputSymlink:
+    def test_output_through_a_symlink_updates_its_target(self, run, db_file, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        link = tmp_path / "out.txt"
+        link.symlink_to(real.name)
+        code, out, _ = run("mine", "--input", db_file, "--max-support", "3",
+                           "--output", str(link))
+        assert code == 0
+        assert out == ""
+        assert link.is_symlink()
+        assert os.readlink(link) == real.name
+        assert real.read_text() == MINE_SIGMA3_EXPECTED
+
+
+class TestEmitRareBytes:
+    def test_emit_rare_is_the_rare_lines_of_emit_both(self, run, tmp_path):
+        # A seeded sparse corpus over 14 items: 2-4 items per transaction.
+        rng = random.Random(1404)
+        items = [f"i{n:02d}" for n in range(14)]
+        rows = [" ".join(rng.sample(items, rng.randint(2, 4))) for _ in range(60)]
+        assert {item for row in rows for item in row.split()} == set(items)
+        path = tmp_path / "sparse.txt"
+        path.write_text("\n".join(rows) + "\n")
+        args = ("mine", "--input", str(path), "--max-support", "3")
+        code_rare, rare, _ = run(*args, "--emit", "rare")
+        code_both, both, _ = run(*args, "--emit", "both")
+        assert code_rare == code_both == 0
+        expected = "".join(line + "\n" for line in both.splitlines() if line.endswith(" RARE"))
+        assert rare == expected
+        assert len(rare.splitlines()) > 50

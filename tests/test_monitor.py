@@ -281,3 +281,32 @@ class TestReplay:
             format_alert_line(alert)
             == "ALERT window=0 pattern=admin_path login_fail cycles=3"
         )
+
+
+class TestOverCapCycles:
+    """A cycle over the default item cap is skipped and counted; the replay goes on."""
+
+    WIDE = " ".join(f"w{i}" for i in range(25))
+
+    def test_over_cap_cycle_is_skipped_and_later_windows_run(self, tmp_path, caplog):
+        cfg = config(tmp_path, cycles=2, duration=100)
+        text = f"0 a\n1 b\n100 a\n1000 {self.WIDE}\n1100 a\n2000 a\n2100 a\n"
+        with caplog.at_level("WARNING", logger="rareminer.monitor"):
+            reports = replay(events_of(text), cfg)
+        assert [r.window_start for r in reports] == [0, 1000, 2000]
+        assert [r.skipped_cycles for r in reports] == [0, 1, 0]
+        # The skipped cycle finds nothing, so its window cannot alert.
+        assert reports[1].alerts == ()
+        assert {r.labels for r in reports[1].recurrences} == {("a",)}
+        assert {a.labels for a in reports[2].alerts} == {("a",)}
+        assert any(
+            "cycle 0 of the window at 1000 ms" in message and "25 distinct items" in message
+            for message in caplog.messages
+        )
+
+    def test_at_the_cap_nothing_is_skipped(self, tmp_path):
+        # sigma 1: the full item-set of the cycle is frequent, so mining it is one count.
+        at_cap = " ".join(f"w{i}" for i in range(24))
+        report = run_window(events_of(f"0 {at_cap}\n"), config(tmp_path, sigma=1, cycles=1))
+        assert report.skipped_cycles == 0
+        assert report.recurrences == ()

@@ -7,8 +7,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import WORKED_DB_SUPPORTS, mined_as_dict, random_database
+from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, mined_as_dict, random_database
 from rareminer import (
     Classification,
     ItemSet,
@@ -19,6 +21,7 @@ from rareminer import (
     format_result_line,
     generate_candidates,
     iter_levels,
+    mine_frequent,
     mine_rare,
     parse_database,
     prune_candidates,
@@ -335,3 +338,80 @@ class TestProperties:
                 for m in mine_rare(db, MiningConfig(SIGMA))
             )
         assert render(shuffled) == render(original)
+
+
+@st.composite
+def rare_only_cases(draw):
+    """(database over at most 8 items, sigma in [1, |D|+2], pruning flag).
+
+    Up to four extra rows hold every item, so that the full item-set is
+    often frequent and the early exit gets exercised.
+    """
+    universe = CORPUS_LABELS[: draw(st.integers(1, 8))]
+    rows = draw(st.lists(st.lists(st.sampled_from(universe), min_size=1), max_size=30))
+    rows += [list(universe)] * draw(st.integers(0, 4))
+    db = database_from_transactions(rows, universe=universe)
+    return db, draw(st.integers(1, len(db) + 2)), draw(st.booleans())
+
+
+def oracle_class(db, sigma, classification):
+    """The oracle's entries of one class, in canonical output order."""
+    return sorted(
+        (e for e in classify_all(db, sigma) if e.classification is classification),
+        key=lambda e: (e.itemset.cardinality, db.render(e.itemset)),
+    )
+
+
+class TestRareOnlyWalk:
+    """`emit=rare` walks the present item-sets bottom-up; the output is unchanged."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_emit_rare_is_the_oracle_rare_class(self, case):
+        db, sigma, pruning = case
+        got = mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="rare"))
+        assert got == oracle_class(db, sigma, Classification.RARE)
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_emit_rare_is_the_present_part_of_emit_both(self, case):
+        db, sigma, pruning = case
+        rare = mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="rare"))
+        both = mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="both"))
+        assert rare == [r for r in both if r.support > 0]
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_mine_frequent_is_the_oracle_frequent_class(self, case):
+        db, sigma, _ = case
+        assert mine_frequent(db, sigma) == oracle_class(db, sigma, Classification.FREQUENT)
+
+    def test_counts_no_item_set_below_a_nonpresent_one(self):
+        # After the full item-set, every counted item-set is present or has
+        # only present one-item reductions: the walk never descends into the
+        # non-present part of the lattice.
+        rng = random.Random(20241018)
+        for _ in range(60):
+            db = random_database(rng, max_width=8)
+            sigma = rng.randint(1, len(db) + 1)
+            counted = []
+            count = db.support_of_mask
+            db.support_of_mask = lambda mask: counted.append(mask) or count(mask)
+            mine_rare(db, MiningConfig(sigma, emit="rare"))
+            assert counted[0] == db.full_itemset().mask
+            for mask in counted[1:]:
+                children = [mask ^ 1 << i for i in range(db.width) if mask >> i & 1]
+                assert all(count(c) > 0 for c in children if c)
+            # The walk counts each item-set once; only the full item-set,
+            # checked up front, can come round a second time.
+            assert len(counted[1:]) == len(set(counted[1:]))
+
+    def test_frequent_full_itemset_is_one_count(self):
+        # 16 items in all 50 transactions: every item-set is frequent at sigma 2.
+        labels = [f"i{n}" for n in range(16)]
+        db = database_from_transactions([labels] * 50)
+        counted = []
+        count = db.support_of_mask
+        db.support_of_mask = lambda mask: counted.append(mask) or count(mask)
+        assert mine_rare(db, MiningConfig(2, emit="rare")) == []
+        assert counted == [db.full_itemset().mask]
