@@ -10,6 +10,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import stat
 import sys
@@ -67,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--emit", choices=EMIT_CHOICES, default=EMIT_BOTH,
                       help="which classes to report (default: both)")
     mine.add_argument("--no-prune", action="store_true",
-                      help="disable candidate pruning for --emit both and nonpresent "
-                      "(output is unchanged, only slower; --emit rare never prunes)")
+                      help="disable candidate pruning (output is unchanged, only slower)")
     mine.set_defaults(func=_cmd_mine)
 
     frequent = sub.add_parser("frequent", parents=[files], help="mine frequent item-sets (classical baseline)")
@@ -202,6 +202,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # The package logs only warnings (a skipped event line or cycle); print
+    # them in the front end's own stderr format.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("rareminer: warning: %(message)s"))
+    package_log = logging.getLogger("rareminer")
+    package_log.addHandler(handler)
     try:
         return args.func(args)
     except (_UsageError, ItemUniverseError, ReplayOrderError) as exc:
@@ -210,6 +217,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"rareminer: error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        package_log.removeHandler(handler)
 
 
 if __name__ == "__main__":

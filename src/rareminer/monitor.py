@@ -6,10 +6,10 @@ bucket, and a pattern that shows up rare in every cycle of a window raises
 an alert. Only observed-but-rare patterns count toward recurrence:
 item-sets that never occurred are ignored, because an absent combination is
 not an observed behaviour and would otherwise alert on every window.
-Each cycle is mined rare-only, which walks just the item-sets present in
-its bucket. A cycle holding more distinct items than `DEFAULT_ITEM_CAP` is
-skipped with a logged warning and counted in its window's report; the
-replay goes on.
+Each cycle is mined rare-only, which on a bucket of short events walks
+just the item-sets present in it. A cycle holding more distinct items than
+`DEFAULT_ITEM_CAP` is skipped with a logged warning and counted in its
+window's report; the replay goes on.
 
 Replay mode is fully deterministic: the same event file and configuration
 produce identical alerts and identical store bytes.

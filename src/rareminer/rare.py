@@ -9,19 +9,22 @@ of a frequent item-set is frequent, which lets the miner drop candidates
 lying below a known frequent item-set without counting them. The number of
 rare plus non-present item-sets can approach 2^|I|, and so can this walk.
 
-Rare-only mining (`emit=rare`) takes another route. Every subset of a
+Rare-only mining (`emit=rare`) has a second route. Every subset of a
 present item-set is present, so the rare item-sets are exactly the present
 ones with support below sigma, and the bottom-up Apriori walk with minsupp
-1 (`apriori.iter_supported`) enumerates them. The only non-present
-item-sets it counts are candidates whose one-item reductions are all
-present, so its cost grows with the present item-sets, not with 2^|I|; the
-output is the same as filtering the top-down walk.
+1 (`apriori.iter_supported`) finds them. Its cost grows with the present
+item-sets, not with 2^|I|, but it is not cheaper on every database: on
+dense data few item-sets lie below sigma and most are present. So
+rare-only mining takes the bottom-up walk only when the longest
+transaction proves it cheaper (`_bottom_up_is_cheaper`), and the top-down
+walk otherwise; the output is the same either way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Collection, Iterable, Iterator
 
 from .apriori import iter_supported
@@ -50,10 +53,9 @@ class MiningConfig:
     |D| + 1 (no support can reach them), which keeps mining legal on
     arbitrarily small buckets such as empty monitoring cycles; front ends
     that want the strict `sigma <= |D| + 1` contract enforce it themselves.
-    Pruning applies only to `both` and `nonpresent`, the top-down walk, and
-    disabling it never changes the output, only the work done; `rare` walks
-    the present item-sets bottom-up, and neither its output nor its work
-    depends on `pruning_enabled`.
+    Pruning applies to the top-down walk, which every mode uses except
+    `rare` on sparse data; disabling it never changes the output, only the
+    work done.
     """
 
     sigma: int
@@ -174,27 +176,37 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     or non-present (support 0), filtered by `config.emit` and sorted by
     (cardinality, rendered labels). A database whose full item-set is
     frequent yields an empty result: no rare or non-present item-set exists.
-    `emit=rare` walks only the present item-sets, bottom-up; `both` and
-    `nonpresent` walk the lattice top-down with `iter_levels`.
+    The lattice is walked top-down with `iter_levels`, except for
+    `emit=rare` on a database where the bottom-up walk over the present
+    item-sets is sure to count fewer item-sets.
     """
-    if config.emit == EMIT_RARE:
-        results = _mine_rare_only(db, config.sigma)
+    if config.emit == EMIT_RARE and _bottom_up_is_cheaper(db):
+        results = [
+            MinedItemSet(itemset, support, Classification.RARE)
+            for itemset, support in iter_supported(db, 1)
+            if support < config.sigma
+        ]
     else:
         results = [r for level in iter_levels(db, config) for r in level.interesting]
-        if config.emit == EMIT_NONPRESENT:
+        if config.emit == EMIT_RARE:
+            results = [r for r in results if r.support > 0]
+        elif config.emit == EMIT_NONPRESENT:
             results = [r for r in results if r.support == 0]
     results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results
 
 
-def _mine_rare_only(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
-    """The present item-sets with support below sigma, in walk order."""
-    # A frequent full item-set makes every item-set frequent; one count
-    # settles it, as it does at the top of the top-down walk.
-    if db.support_of_mask(db.full_itemset().mask) >= sigma:
-        return []
-    return [
-        MinedItemSet(itemset, support, Classification.RARE)
-        for itemset, support in iter_supported(db, 1)
-        if support < sigma
-    ]
+def _bottom_up_is_cheaper(db: TransactionDatabase) -> bool:
+    """Whether the bottom-up walk's most counts are fewer than the top-down walk's least.
+
+    With L the length of the longest transaction, no item-set of more than
+    L items is present. The bottom-up walk counts a candidate only when its
+    one-item reductions are present, so never one of more than L + 1
+    items. The top-down walk counts every item-set of more than L items:
+    all are non-present, so none is pruned.
+    """
+    width = db.width
+    longest = max((t.items.cardinality for t in db.transactions), default=0)
+    bottom_up_most = sum(comb(width, k) for k in range(1, min(longest + 1, width) + 1))
+    top_down_least = sum(comb(width, k) for k in range(longest + 1, width + 1))
+    return bottom_up_most < top_down_least

@@ -324,7 +324,11 @@ class TestMonitorOverCapCycles:
             "ALERT window=0 pattern=a cycles=1",
             "ALERT window=2000 pattern=a cycles=1",
         ]
-        assert "skipped 1 cycle(s) with more than 24 distinct items" in err
+        assert err.splitlines() == [
+            "rareminer: warning: skipping cycle 0 of the window at 1000 ms: "
+            "item universe has 25 distinct items, exceeding the cap of 24",
+            "rareminer: warning: skipped 1 cycle(s) with more than 24 distinct items",
+        ]
         starts = [json.loads(line)["window_start"] for line in store.read_text().splitlines()]
         assert starts == [0, 2000]
 

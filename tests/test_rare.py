@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -344,11 +345,16 @@ class TestProperties:
 def rare_only_cases(draw):
     """(database over at most 8 items, sigma in [1, |D|+2], pruning flag).
 
-    Up to four extra rows hold every item, so that the full item-set is
-    often frequent and the early exit gets exercised.
+    A drawn cap on the row length makes short rows, where the bottom-up walk
+    is taken, as common as long ones. Up to four extra rows hold every item,
+    so that the full item-set is often frequent and the early exit gets
+    exercised.
     """
     universe = CORPUS_LABELS[: draw(st.integers(1, 8))]
-    rows = draw(st.lists(st.lists(st.sampled_from(universe), min_size=1), max_size=30))
+    longest = draw(st.integers(1, len(universe)))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(universe), min_size=1, max_size=longest), max_size=30
+    ))
     rows += [list(universe)] * draw(st.integers(0, 4))
     db = database_from_transactions(rows, universe=universe)
     return db, draw(st.integers(1, len(db) + 2)), draw(st.booleans())
@@ -363,7 +369,7 @@ def oracle_class(db, sigma, classification):
 
 
 class TestRareOnlyWalk:
-    """`emit=rare` walks the present item-sets bottom-up; the output is unchanged."""
+    """`emit=rare` walks bottom-up where that is sure to be cheaper; the output is unchanged."""
 
     @settings(deadline=None, max_examples=150)
     @given(rare_only_cases())
@@ -386,32 +392,53 @@ class TestRareOnlyWalk:
         db, sigma, _ = case
         assert mine_frequent(db, sigma) == oracle_class(db, sigma, Classification.FREQUENT)
 
-    def test_counts_no_item_set_below_a_nonpresent_one(self):
-        # After the full item-set, every counted item-set is present or has
-        # only present one-item reductions: the walk never descends into the
-        # non-present part of the lattice.
-        rng = random.Random(20241018)
-        for _ in range(60):
-            db = random_database(rng, max_width=8)
-            sigma = rng.randint(1, len(db) + 1)
-            counted = []
-            count = db.support_of_mask
-            db.support_of_mask = lambda mask: counted.append(mask) or count(mask)
-            mine_rare(db, MiningConfig(sigma, emit="rare"))
-            assert counted[0] == db.full_itemset().mask
-            for mask in counted[1:]:
-                children = [mask ^ 1 << i for i in range(db.width) if mask >> i & 1]
-                assert all(count(c) > 0 for c in children if c)
-            # The walk counts each item-set once; only the full item-set,
-            # checked up front, can come round a second time.
-            assert len(counted[1:]) == len(set(counted[1:]))
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_counts_no_more_than_the_top_down_walk(self, case):
+        db, sigma, pruning = case
+        config = MiningConfig(sigma, pruning_enabled=pruning, emit="rare")
+        top_down = sum(
+            len(level.interesting) + len(level.frequent_record) for level in iter_levels(db, config)
+        )
+        counted = counting(db)
+        mine_rare(db, config)
+        assert len(counted) <= top_down
+
+    def test_dense_database_walks_top_down(self):
+        # 20 items, each row lacks one of them, 5 rows per missing item, sigma 2:
+        # the full item-set is non-present and every one-item reduction frequent,
+        # so the top-down walk is done after 21 counts; 2^20 - 2 item-sets are present.
+        labels = [f"i{n}" for n in range(20)]
+        rows = [[x for x in labels if x != missing] for missing in labels for _ in range(5)]
+        db = database_from_transactions(rows)
+        counted = counting(db)
+        assert mine_rare(db, MiningConfig(2, emit="rare")) == []
+        assert len(counted) == 21
+
+    def test_sparse_database_walks_bottom_up(self):
+        # 14 items, 100 rows of 2 or 3: the bottom-up walk counts no item-set of
+        # more than 4 items (at most 1,470), while the 15,914 of more than 3
+        # items all lie below sigma.
+        rng = random.Random(7)
+        labels = [f"i{n}" for n in range(14)]
+        db = database_from_transactions(rng.sample(labels, rng.randint(2, 3)) for _ in range(100))
+        counted = counting(db)
+        got = mine_rare(db, MiningConfig(5, emit="rare"))
+        assert got and all(0 < r.support < 5 for r in got)
+        assert len(counted) <= sum(comb(14, k) for k in range(1, 5))
 
     def test_frequent_full_itemset_is_one_count(self):
         # 16 items in all 50 transactions: every item-set is frequent at sigma 2.
         labels = [f"i{n}" for n in range(16)]
         db = database_from_transactions([labels] * 50)
-        counted = []
-        count = db.support_of_mask
-        db.support_of_mask = lambda mask: counted.append(mask) or count(mask)
+        counted = counting(db)
         assert mine_rare(db, MiningConfig(2, emit="rare")) == []
         assert counted == [db.full_itemset().mask]
+
+
+def counting(db):
+    """The masks `db` is asked to count from now on, in order."""
+    counted = []
+    count = db.support_of_mask
+    db.support_of_mask = lambda mask: counted.append(mask) or count(mask)
+    return counted
