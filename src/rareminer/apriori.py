@@ -3,8 +3,7 @@
 Level-wise Apriori search in the style of Agrawal & Srikant (VLDB 1994):
 count single items, then repeatedly join the frequent k-sets into (k+1)-
 candidates and count them, growing toward larger item-sets. The walk is
-one generator, `iter_supported`, shared by `mine_frequent` and by the rare
-miner's rare-only mode (minsupp 1: every present item-set). The join
+one generator, `iter_supported`, which `mine_frequent` wraps. The join
 works on bit-vector masks: each frequent k-set is extended by one item
 above its highest member, and the extension is kept only when all of its
 one-item reductions are frequent k-sets, so every candidate is generated

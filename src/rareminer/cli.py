@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--emit", choices=EMIT_CHOICES, default=EMIT_BOTH,
                       help="which classes to report (default: both)")
     mine.add_argument("--no-prune", action="store_true",
-                      help="disable candidate pruning (output is unchanged, only slower)")
+                      help="disable candidate pruning for --emit both/nonpresent "
+                           "(output is unchanged, only slower)")
     mine.set_defaults(func=_cmd_mine)
 
     frequent = sub.add_parser("frequent", parents=[files], help="mine frequent item-sets (classical baseline)")

@@ -15,9 +15,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 # Mining rare and non-present item-sets walks from the full item-set down to
 # single items, and the number of rare plus non-present item-sets can approach
-# 2^|I|; the cap keeps that honest at desk scale. On sparse data rare-only
-# mining walks just the present item-sets bottom-up, so its cost grows with
-# them instead. Override per call where a larger universe is intended.
+# 2^|I|; the cap keeps that honest at desk scale. Rare-only mining walks just
+# the present item-sets. Override per call where a larger universe is intended.
 DEFAULT_ITEM_CAP = 24
 
 

@@ -6,8 +6,8 @@ bucket, and a pattern that shows up rare in every cycle of a window raises
 an alert. Only observed-but-rare patterns count toward recurrence:
 item-sets that never occurred are ignored, because an absent combination is
 not an observed behaviour and would otherwise alert on every window.
-Each cycle is mined rare-only, which on a bucket of short events walks
-just the item-sets present in it. A cycle holding more distinct items than
+Each cycle that holds events is mined rare-only, which walks just the
+item-sets present in it. A cycle holding more distinct items than
 `DEFAULT_ITEM_CAP` is skipped with a logged warning and counted in its
 window's report; the replay goes on.
 
@@ -157,30 +157,32 @@ def run_window(
 
     Events are bucketed by timestamp arithmetic relative to `window_start`
     (the first event's timestamp when omitted); every event belongs to
-    exactly one cycle and empty buckets are legal. Each bucket is mined
-    independently at the window's threshold; a bucket with more distinct
-    items than the default item cap is skipped with a warning and counted
-    in the report, and finds nothing, so that window cannot alert. After the
-    last cycle, every pattern found rare in at least `cycles` cycles (that
-    is, in all of them) is reported once through `alert_sink`; then the
-    recurrence table is appended to the store and discarded.
+    exactly one cycle. Each cycle that holds events is mined independently
+    at the window's threshold (an empty one would find nothing); a cycle
+    with more distinct items than the default item cap is skipped with a
+    warning and counted in the report, and finds nothing, so that window
+    cannot alert. After the last cycle, every pattern found rare in at
+    least `cycles` cycles (that is, in all of them) is reported once
+    through `alert_sink`; then the recurrence table is appended to the
+    store and discarded.
     """
     events = list(events)
     if window_start is None:
         window_start = events[0].timestamp if events else 0
     window_end = window_start + config.window_ms
-    buckets: list[list[Event]] = [[] for _ in range(config.cycles)]
+    buckets: dict[int, list[Event]] = {}
     for event in events:
         if not window_start <= event.timestamp < window_end:
             raise ValueError(
                 f"event at {event.timestamp} ms outside window "
                 f"[{window_start}, {window_end})"
             )
-        buckets[(event.timestamp - window_start) // config.duration_ms].append(event)
+        cycle = (event.timestamp - window_start) // config.duration_ms
+        buckets.setdefault(cycle, []).append(event)
 
     supports_by_pattern: dict[tuple[str, ...], dict[int, int]] = {}
     skipped_cycles = 0
-    for cycle, bucket in enumerate(buckets):
+    for cycle, bucket in sorted(buckets.items()):
         try:
             db = database_from_transactions(event.items for event in bucket)
         except ItemUniverseError as exc:

@@ -9,27 +9,20 @@ of a frequent item-set is frequent, which lets the miner drop candidates
 lying below a known frequent item-set without counting them. The number of
 rare plus non-present item-sets can approach 2^|I|, and so can this walk.
 
-Rare-only mining (`emit=rare`) has a second route. Every subset of a
-present item-set is present, so the rare item-sets are exactly the present
-ones with support below sigma, and the bottom-up Apriori walk with minsupp
-1 (`apriori.iter_supported`) finds them. Its cost grows with the present
-item-sets, not with 2^|I|, but it is not cheaper on every database: on
-dense data few item-sets lie below sigma and most are present. So
-rare-only mining takes the bottom-up walk only when the longest
-transaction proves it cheaper (`_bottom_up_is_cheaper`), and the top-down
-walk otherwise; the output is the same either way.
+Rare-only mining (`emit=rare`) walks top-down over the present item-sets
+only: every rare item-set is a transaction or a one-item reduction of a
+rare item-set one item larger, so its cost grows with the present
+item-sets, not with 2^|I|, and it never counts an item-set the walk above
+would not count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 from typing import Collection, Iterable, Iterator
 
-from .apriori import iter_supported
 from .itemsets import (
-    Classification,
     ItemSet,
     MinedItemSet,
     TransactionDatabase,
@@ -53,9 +46,9 @@ class MiningConfig:
     |D| + 1 (no support can reach them), which keeps mining legal on
     arbitrarily small buckets such as empty monitoring cycles; front ends
     that want the strict `sigma <= |D| + 1` contract enforce it themselves.
-    Pruning applies to the top-down walk, which every mode uses except
-    `rare` on sparse data; disabling it never changes the output, only the
-    work done.
+    Pruning can be switched off for `both` and `nonpresent` only; disabling
+    it never changes the output, only the work done. The `rare` walk always
+    skips item-sets below a counted frequent one.
     """
 
     sigma: int
@@ -176,37 +169,40 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     or non-present (support 0), filtered by `config.emit` and sorted by
     (cardinality, rendered labels). A database whose full item-set is
     frequent yields an empty result: no rare or non-present item-set exists.
-    The lattice is walked top-down with `iter_levels`, except for
-    `emit=rare` on a database where the bottom-up walk over the present
-    item-sets is sure to count fewer item-sets.
+    `emit=rare` walks the present item-sets only; the other modes walk the
+    whole lattice with `iter_levels`.
     """
-    if config.emit == EMIT_RARE and _bottom_up_is_cheaper(db):
-        results = [
-            MinedItemSet(itemset, support, Classification.RARE)
-            for itemset, support in iter_supported(db, 1)
-            if support < config.sigma
-        ]
+    if config.emit == EMIT_RARE:
+        results = _mine_present_rare(db, config.sigma)
     else:
         results = [r for level in iter_levels(db, config) for r in level.interesting]
-        if config.emit == EMIT_RARE:
-            results = [r for r in results if r.support > 0]
-        elif config.emit == EMIT_NONPRESENT:
+        if config.emit == EMIT_NONPRESENT:
             results = [r for r in results if r.support == 0]
     results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results
 
 
-def _bottom_up_is_cheaper(db: TransactionDatabase) -> bool:
-    """Whether the bottom-up walk's most counts are fewer than the top-down walk's least.
+def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
+    """The rare item-sets, from the longest transaction's size down to single items.
 
-    With L the length of the longest transaction, no item-set of more than
-    L items is present. The bottom-up walk counts a candidate only when its
-    one-item reductions are present, so never one of more than L + 1
-    items. The top-down walk counts every item-set of more than L items:
-    all are non-present, so none is pruned.
+    Level k's candidates are the distinct k-item transactions plus the
+    one-item reductions of level k+1's rare item-sets, which reaches every
+    rare item-set. A candidate lying below an item-set already counted
+    frequent is frequent too and is dropped uncounted, so every counted
+    item-set is present, is counted once, and is one the top-down walk
+    counts as well.
     """
     width = db.width
-    longest = max((t.items.cardinality for t in db.transactions), default=0)
-    bottom_up_most = sum(comb(width, k) for k in range(1, min(longest + 1, width) + 1))
-    top_down_least = sum(comb(width, k) for k in range(longest + 1, width + 1))
-    return bottom_up_most < top_down_least
+    by_size: dict[int, set[int]] = {}
+    for t in db.transactions:
+        by_size.setdefault(t.items.cardinality, set()).add(t.items.mask)
+    counted_frequent: list[int] = []
+    rare: list[MinedItemSet] = []
+    kept: list[MinedItemSet] = []
+    for k in range(max(by_size, default=0), 0, -1):
+        masks = by_size.get(k, set()).union(*(iter_child_masks(r.itemset.mask) for r in kept))
+        candidates = [ItemSet(m, width) for m in masks if all(m & f != m for f in counted_frequent)]
+        kept, frequent = evaluate_candidates(candidates, db, sigma)
+        counted_frequent += [f.mask for f in frequent]
+        rare += kept
+    return rare

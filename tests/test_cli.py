@@ -364,3 +364,20 @@ class TestEmitRareBytes:
         expected = "".join(line + "\n" for line in both.splitlines() if line.endswith(" RARE"))
         assert rare == expected
         assert len(rare.splitlines()) > 50
+
+    def test_emit_rare_on_dense_data(self, run, tmp_path):
+        # A seeded dense corpus over 14 items, each in a row with chance 0.7:
+        # the longest rows hold 13 or 14 items and most item-sets are present.
+        rng = random.Random(1405)
+        items = [f"i{n:02d}" for n in range(14)]
+        rows = [" ".join(i for i in items if rng.random() < 0.7) for _ in range(200)]
+        assert all(rows) and max(len(row.split()) for row in rows) >= 13
+        path = tmp_path / "dense.txt"
+        path.write_text("\n".join(rows) + "\n")
+        args = ("mine", "--input", str(path), "--max-support", "5")
+        code_rare, rare, _ = run(*args, "--emit", "rare")
+        code_both, both, _ = run(*args, "--emit", "both")
+        assert code_rare == code_both == 0
+        expected = "".join(line + "\n" for line in both.splitlines() if line.endswith(" RARE"))
+        assert rare == expected
+        assert len(rare.splitlines()) > 50

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import rareminer.monitor as monitor
 from rareminer import (
     Event,
     EventWindowConfig,
@@ -218,6 +219,19 @@ class TestCycleBucketing:
     def test_event_outside_the_window_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="outside window"):
             run_window(events_of("0 a\n3000 b\n"), config(tmp_path))
+
+    def test_only_cycles_holding_events_are_mined(self, tmp_path, monkeypatch):
+        # 3 events in cycles 0 and 7 of a 100-cycle window: two mining runs.
+        mined = []
+        def counting_mine_rare(db, mining_config):
+            mined.append(len(db))
+            return mine_rare(db, mining_config)
+        monkeypatch.setattr(monitor, "mine_rare", counting_mine_rare)
+        events = events_of("0 p\n5 p q\n75 q\n")
+        report = run_window(events, config(tmp_path, cycles=100, duration=10))
+        assert mined == [2, 1]
+        recurrence = {r.labels: r.cycles_detected for r in report.recurrences}
+        assert recurrence == {("q",): 2, ("p", "q"): 1}
 
 
 class TestPersistence:

@@ -1,5 +1,5 @@
-"""The bottom-up rare/non-present miner against the worked example and the
-exhaustive classifier."""
+"""The top-down rare/non-present miner and the rare-only walk against the
+worked example and the exhaustive classifier."""
 
 from __future__ import annotations
 
@@ -345,8 +345,8 @@ class TestProperties:
 def rare_only_cases(draw):
     """(database over at most 8 items, sigma in [1, |D|+2], pruning flag).
 
-    A drawn cap on the row length makes short rows, where the bottom-up walk
-    is taken, as common as long ones. Up to four extra rows hold every item,
+    A drawn cap on the row length makes short rows, where few item-sets are
+    present, as common as long ones. Up to four extra rows hold every item,
     so that the full item-set is often frequent and the early exit gets
     exercised.
     """
@@ -369,7 +369,7 @@ def oracle_class(db, sigma, classification):
 
 
 class TestRareOnlyWalk:
-    """`emit=rare` walks bottom-up where that is sure to be cheaper; the output is unchanged."""
+    """`emit=rare` walks the present item-sets top-down; the output is unchanged."""
 
     @settings(deadline=None, max_examples=150)
     @given(rare_only_cases())
@@ -394,6 +394,19 @@ class TestRareOnlyWalk:
 
     @settings(deadline=None, max_examples=150)
     @given(rare_only_cases())
+    def test_counts_present_itemsets_once_each_that_the_top_down_walk_counts(self, case):
+        db, sigma, pruning = case
+        present = {mask for mask in range(1, 1 << db.width) if db.support_of_mask(mask)}
+        levels = list(iter_levels(db, MiningConfig(sigma)))
+        top_down = {m.itemset.mask for level in levels for m in level.interesting}
+        top_down |= {f.mask for level in levels for f in level.frequent_record}
+        counted = counting(db)
+        mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="rare"))
+        assert len(counted) == len(set(counted))
+        assert set(counted) <= present & top_down
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
     def test_counts_no_more_than_the_top_down_walk(self, case):
         db, sigma, pruning = case
         config = MiningConfig(sigma, pruning_enabled=pruning, emit="rare")
@@ -406,19 +419,19 @@ class TestRareOnlyWalk:
 
     def test_dense_database_walks_top_down(self):
         # 20 items, each row lacks one of them, 5 rows per missing item, sigma 2:
-        # the full item-set is non-present and every one-item reduction frequent,
-        # so the top-down walk is done after 21 counts; 2^20 - 2 item-sets are present.
+        # the 20 distinct transactions are all frequent, so the walk is done after
+        # 20 counts although 2^20 - 2 item-sets are present.
         labels = [f"i{n}" for n in range(20)]
         rows = [[x for x in labels if x != missing] for missing in labels for _ in range(5)]
         db = database_from_transactions(rows)
         counted = counting(db)
         assert mine_rare(db, MiningConfig(2, emit="rare")) == []
-        assert len(counted) == 21
+        assert len(counted) == 20
 
     def test_sparse_database_walks_bottom_up(self):
-        # 14 items, 100 rows of 2 or 3: the bottom-up walk counts no item-set of
-        # more than 4 items (at most 1,470), while the 15,914 of more than 3
-        # items all lie below sigma.
+        # 14 items, 100 rows of 2 or 3: the walk counts only present item-sets,
+        # none of more than 3 items (at most 1,470 of up to 4), while the 15,914
+        # item-sets of more than 3 items all lie below sigma.
         rng = random.Random(7)
         labels = [f"i{n}" for n in range(14)]
         db = database_from_transactions(rng.sample(labels, rng.randint(2, 3)) for _ in range(100))
