@@ -141,6 +141,8 @@ def _mine_file(
 
     `mine(db, threshold)` returns results in output order.
     """
+    if args.max_items < 1:
+        raise _UsageError(f"--max-items must be at least 1, got {args.max_items}")
     db = parse_database(_read_text(args.input), max_items=args.max_items)
     if not 1 <= threshold <= len(db) + 1:
         raise _UsageError(

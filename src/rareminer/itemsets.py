@@ -4,7 +4,11 @@ The item universe of a database is the ordered set of distinct item labels,
 interned in order of first appearance. An item-set is a fixed-width
 bit-vector over that universe, so subset tests and intersections are single
 integer operations. All types here are immutable after construction and
-safe to share across threads; every operation is a pure function.
+safe to share across threads; every operation is a pure function. The one
+piece of state built later is each database's per-item index, made on the
+first support count and never mutated after it is built: two threads
+racing on that first count can at worst build it twice, with identical
+results.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ class TransactionDatabase:
         self._labels = labels
         self._index = index
         self._transactions = tuple(transactions)
-        self._masks = tuple(t.items.mask for t in self._transactions)
+        # Per-item tid-lists, built on the first support count.
+        self._tids: Optional[list[int]] = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -210,11 +215,39 @@ class TransactionDatabase:
         return " ".join(self.labels_of(itemset))
 
     def support_of_mask(self, mask: int) -> int:
-        count = 0
-        for t in self._masks:
-            if mask & t == mask:
-                count += 1
-        return count
+        """Number of transactions holding every item of `mask`.
+
+        Counts on a vertical index (Eclat's tid-lists): item i's int has bit
+        r set when transaction r holds item i. The count is the AND of the
+        members' ints, stopped as soon as it is empty, then its bit count.
+        The empty mask counts every transaction; a mask with a bit outside
+        the universe counts none.
+        """
+        tids = self._tids
+        if tids is None:
+            tids = self._tids = self._tid_lists()
+        if not mask:
+            return len(self._transactions)
+        if mask >> len(tids):
+            return 0
+        rows = -1
+        while mask and rows:
+            low = mask & -mask
+            rows &= tids[low.bit_length() - 1]
+            mask ^= low
+        return rows.bit_count()
+
+    def _tid_lists(self) -> list[int]:
+        """One int per item whose bit r is set when transaction r holds it."""
+        tids = [0] * self.width
+        for row, t in enumerate(self._transactions):
+            bit = 1 << row
+            mask = t.items.mask
+            while mask:
+                low = mask & -mask
+                tids[low.bit_length() - 1] |= bit
+                mask ^= low
+        return tids
 
     def support(self, itemset: ItemSet) -> int:
         """Exact number of transactions containing every item of `itemset`."""

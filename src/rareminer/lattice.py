@@ -35,9 +35,15 @@ def classify_all(
         raise ItemUniverseError(
             db.width, max_items, what="item universe for exhaustive enumeration"
         )
+    # The referee counts with its own scan over the transactions, never
+    # with the miners' counter, so a fault there cannot hide here.
+    rows = [t.items.mask for t in db.transactions]
     entries = []
     for mask in range(1, 1 << db.width):
-        support = db.support_of_mask(mask)
+        support = 0
+        for row in rows:
+            if mask & row == mask:
+                support += 1
         entries.append(
             MinedItemSet(ItemSet(mask, db.width), support, classify_support(support, sigma))
         )

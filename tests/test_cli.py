@@ -225,6 +225,17 @@ class TestClassify:
             assert union == sorted(classified.splitlines())
 
 
+@pytest.mark.parametrize("command, threshold", [
+    ("mine", "--max-support"), ("frequent", "--min-support"), ("classify", "--max-support"),
+])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_item_cap_is_usage_error(run, db_file, command, threshold, cap):
+    code, out, err = run(command, "--input", db_file, threshold, "3", "--max-items", cap)
+    assert code == 2
+    assert out == ""
+    assert f"--max-items must be at least 1, got {cap}" in err
+
+
 class TestMonitor:
     EVENTS = """\
 0 p q

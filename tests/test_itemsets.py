@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CORPUS_LABELS,
     WORKED_DB_SUPPORTS,
     label_rows,
     naive_label_support,
@@ -203,6 +206,65 @@ class TestSupport:
         itemset = ItemSet(mask, db.width)
         expected = naive_label_support(label_rows(db), db.labels_of(itemset))
         assert db.support(itemset) == expected
+
+
+@st.composite
+def counted_databases(draw):
+    """Rows drawn from a small pool, so many repeat; up to 200 of them, so
+    tid-lists span several machine words; a universe that may hold items
+    no row uses; and, at zero rows, the empty database."""
+    n_present = draw(st.integers(0, 6))
+    universe = CORPUS_LABELS[: n_present + draw(st.integers(0, 2))]
+    if not n_present:
+        return database_from_transactions([], universe=universe)
+    present = universe[:n_present]
+    pool = draw(st.lists(st.sets(st.sampled_from(present), min_size=1), min_size=1, max_size=5))
+    n_rows = draw(st.one_of(st.integers(0, 64), st.integers(65, 200)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
+    return database_from_transactions([pool[i] for i in picks], universe=universe)
+
+
+@settings(deadline=None, max_examples=80)
+@given(counted_databases())
+def test_counter_matches_label_scan_on_every_mask(db):
+    rows = label_rows(db)
+    masks = range(1 << db.width)
+    expected = [naive_label_support(rows, db.labels_of(ItemSet(m, db.width))) for m in masks]
+    first = [db.support_of_mask(m) for m in masks]
+    assert first == expected
+    assert first[0] == len(db)
+    # The index is cached on the database after the first count.
+    assert [db.support_of_mask(m) for m in masks] == first
+    assert db.support_of_mask(1 << db.width) == 0
+
+
+def test_threads_racing_on_the_first_count_agree():
+    rng = random.Random(20261018)
+    rows = [[label for label in CORPUS_LABELS[:8] if rng.random() < 0.5] or ["a"] for _ in range(300)]
+    reference = database_from_transactions(rows)
+    masks = range(1 << reference.width)
+    label_sets = label_rows(reference)
+    expected = [naive_label_support(label_sets, reference.labels_of(ItemSet(m, reference.width)))
+                for m in masks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            db = database_from_transactions(rows)
+            results: list = [None] * 8
+
+            def count(slot: int) -> None:
+                results[slot] = [db.support_of_mask(m) for m in masks]
+
+            threads = [threading.Thread(target=count, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestRendering:

@@ -16,6 +16,7 @@ from conftest import (
 from rareminer import (
     Classification,
     ItemUniverseError,
+    TransactionDatabase,
     classify_all,
     coverage,
     database_from_transactions,
@@ -64,6 +65,17 @@ class TestWorkedDatabase:
                 if e.classification is not Classification.NONPRESENT
             }
             assert present == covered
+
+
+def test_referee_does_not_use_the_miners_counter(worked_db, monkeypatch):
+    def refuse(self, mask):
+        raise AssertionError("classify_all called TransactionDatabase.support_of_mask")
+
+    monkeypatch.setattr(TransactionDatabase, "support_of_mask", refuse)
+    got = {labels: support for labels, (support, _) in
+           entries_as_dict(classify_all(worked_db, 3), worked_db).items()}
+    assert got == WORKED_DB_SUPPORTS
+    assert len(coverage(worked_db)) == 25
 
 
 class TestDegenerateInputs:
