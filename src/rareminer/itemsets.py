@@ -277,7 +277,7 @@ def parse_database(text: str, *, max_items: int = DEFAULT_ITEM_CAP) -> Transacti
     appearance; each transaction keeps its source line index as its id.
 
     Raises ItemUniverseError when the input holds more than `max_items`
-    distinct items.
+    distinct items, and ValueError when `max_items` is below 1.
     """
     rows = ((lineno, line.split()) for lineno, line in content_lines(text))
     return _build(rows, None, max_items)
@@ -309,6 +309,8 @@ def _build(
     Labels get ids after those of `universe`, in order of first appearance,
     so a label outside a given universe shows up as an id beyond it.
     """
+    if max_items < 1:
+        raise ValueError(f"max_items must be at least 1, got {max_items}")
     fixed = () if universe is None else tuple(universe)
     index = {label: i for i, label in enumerate(fixed)}
     if len(index) != len(fixed):

@@ -31,6 +31,8 @@ def classify_all(
     """
     if sigma < 1:
         raise ValueError(f"sigma must be at least 1, got {sigma}")
+    if max_items < 1:
+        raise ValueError(f"max_items must be at least 1, got {max_items}")
     if db.width > max_items:
         raise ItemUniverseError(
             db.width, max_items, what="item universe for exhaustive enumeration"

@@ -14,12 +14,17 @@ only: every rare item-set is a transaction or a one-item reduction of a
 rare item-set one item larger, so its cost grows with the present
 item-sets, not with 2^|I|, and it never counts an item-set the walk above
 would not count.
+
+Non-present mining (`emit=nonpresent`) is the top-down walk at sigma 1:
+support 0 does not depend on sigma, so neither does its work. Each mode
+walks only what it can emit plus the border that stops it, and no result
+is filtered after a walk.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Iterator
 
 from .itemsets import (
@@ -48,7 +53,8 @@ class MiningConfig:
     that want the strict `sigma <= |D| + 1` contract enforce it themselves.
     Pruning can be switched off for `both` and `nonpresent` only; disabling
     it never changes the output, only the work done. The `rare` walk always
-    skips item-sets below a counted frequent one.
+    skips item-sets below a counted frequent one. The `nonpresent` walk runs
+    at sigma 1 whatever `sigma` is: support 0 is non-present at every sigma.
     """
 
     sigma: int
@@ -166,18 +172,18 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     """Every non-empty item-set over the universe with support below sigma.
 
     Returns exact supports with each item-set classified rare (support >= 1)
-    or non-present (support 0), filtered by `config.emit` and sorted by
+    or non-present (support 0), of the classes `config.emit` names, sorted by
     (cardinality, rendered labels). A database whose full item-set is
     frequent yields an empty result: no rare or non-present item-set exists.
-    `emit=rare` walks the present item-sets only; the other modes walk the
-    whole lattice with `iter_levels`.
+    `emit=rare` walks the present item-sets only; `emit=both` walks the
+    lattice with `iter_levels` at sigma, and `emit=nonpresent` at sigma 1.
     """
     if config.emit == EMIT_RARE:
         results = _mine_present_rare(db, config.sigma)
     else:
-        results = [r for level in iter_levels(db, config) for r in level.interesting]
-        if config.emit == EMIT_NONPRESENT:
-            results = [r for r in results if r.support == 0]
+        # A non-present item-set is a rare one at sigma 1, whatever sigma is.
+        walk = replace(config, sigma=1) if config.emit == EMIT_NONPRESENT else config
+        results = [r for level in iter_levels(db, walk) for r in level.interesting]
     results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results
 

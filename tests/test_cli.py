@@ -392,3 +392,21 @@ class TestEmitRareBytes:
         expected = "".join(line + "\n" for line in both.splitlines() if line.endswith(" RARE"))
         assert rare == expected
         assert len(rare.splitlines()) > 50
+
+
+def test_emit_nonpresent_is_mine_at_max_support_1(run, tmp_path):
+    # A seeded corpus over 10 items, each in a row with chance 0.5: both
+    # commands list the never-present combinations, at any --max-support.
+    rng = random.Random(1406)
+    items = [f"i{n:02d}" for n in range(10)]
+    rows = [" ".join(i for i in items if rng.random() < 0.5) for _ in range(80)]
+    assert all(rows)
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(rows) + "\n")
+    code, expected, _ = run("mine", "--input", str(path), "--max-support", "1")
+    assert code == 0 and len(expected.splitlines()) > 50
+    for sigma in (1, 40, 81):
+        code, out, _ = run("mine", "--input", str(path), "--max-support", str(sigma),
+                           "--emit", "nonpresent")
+        assert code == 0
+        assert out == expected

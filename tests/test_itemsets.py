@@ -107,6 +107,21 @@ class TestBuilder:
             database_from_transactions([], universe=["a", "a"])
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda cap: parse_database("", max_items=cap), id="parse_database"),
+    # The cap is checked first: the unknown label would be refused otherwise.
+    pytest.param(
+        lambda cap: database_from_transactions([["q"]], universe=["a"], max_items=cap),
+        id="database_from_transactions",
+    ),
+])
+def test_item_cap_below_1_is_a_plain_value_error(build, cap):
+    with pytest.raises(ValueError, match=f"^max_items must be at least 1, got {cap}$") as excinfo:
+        build(cap)
+    assert type(excinfo.value) is ValueError
+
+
 class TestItemSet:
     def test_validation(self):
         with pytest.raises(ValueError):

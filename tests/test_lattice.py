@@ -107,6 +107,18 @@ class TestContracts:
         # the cap is a parameter, not a constant of nature
         assert len(classify_all(db, 1, max_items=17)) == 2**17 - 1
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda db, cap: classify_all(db, 1, max_items=cap), id="classify_all"),
+        pytest.param(lambda db, cap: coverage(db, max_items=cap), id="coverage"),
+    ])
+    def test_item_cap_below_1_is_a_plain_value_error(self, entry, cap):
+        # An empty universe fits under any cap, so only the check on the cap can refuse it.
+        db = parse_database("")
+        with pytest.raises(ValueError, match=f"^max_items must be at least 1, got {cap}$") as excinfo:
+            entry(db, cap)
+        assert type(excinfo.value) is ValueError
+
     def test_sigma_validation(self, worked_db):
         with pytest.raises(ValueError):
             classify_all(worked_db, 0)

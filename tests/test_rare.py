@@ -449,6 +449,40 @@ class TestRareOnlyWalk:
         assert counted == [db.full_itemset().mask]
 
 
+class TestNonpresentWalk:
+    """`emit=nonpresent` is the top-down walk at sigma 1, whatever sigma is."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_emit_nonpresent_is_the_oracle_nonpresent_class(self, case):
+        db, sigma, pruning = case
+        got = mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="nonpresent"))
+        assert got == oracle_class(db, sigma, Classification.NONPRESENT)
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_counts_what_the_walk_at_sigma_1_counts(self, case):
+        db, sigma, pruning = case
+        counted = counting(db)
+        list(iter_levels(db, MiningConfig(1, pruning_enabled=pruning)))
+        walk = counted[:]
+        counted.clear()
+        mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="nonpresent"))
+        assert counted == walk
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_counts_no_more_than_the_walk_at_sigma(self, case):
+        db, sigma, pruning = case
+        config = MiningConfig(sigma, pruning_enabled=pruning, emit="nonpresent")
+        top_down = sum(
+            len(level.interesting) + len(level.frequent_record) for level in iter_levels(db, config)
+        )
+        counted = counting(db)
+        mine_rare(db, config)
+        assert len(counted) <= top_down
+
+
 def counting(db):
     """The masks `db` is asked to count from now on, in order."""
     counted = []
