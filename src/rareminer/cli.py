@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
 
 
 def _write_output(lines: Sequence[str], path: Optional[str]) -> None:

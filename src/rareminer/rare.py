@@ -11,9 +11,9 @@ rare plus non-present item-sets can approach 2^|I|, and so can this walk.
 
 Rare-only mining (`emit=rare`) walks top-down over the present item-sets
 only: every rare item-set is a transaction or a one-item reduction of a
-rare item-set one item larger, so its cost grows with the present
-item-sets, not with 2^|I|, and it never counts an item-set the walk above
-would not count.
+rare item-set one item larger. It counts each distinct transaction and
+each one-item reduction of a rare result once, so its cost is bounded by
+the input and the output, not by 2^|I|.
 
 Non-present mining (`emit=nonpresent`) is the top-down walk at sigma 1:
 support 0 does not depend on sigma, so neither does its work. Each mode
@@ -52,9 +52,10 @@ class MiningConfig:
     arbitrarily small buckets such as empty monitoring cycles; front ends
     that want the strict `sigma <= |D| + 1` contract enforce it themselves.
     Pruning can be switched off for `both` and `nonpresent` only; disabling
-    it never changes the output, only the work done. The `rare` walk always
-    skips item-sets below a counted frequent one. The `nonpresent` walk runs
-    at sigma 1 whatever `sigma` is: support 0 is non-present at every sigma.
+    it never changes the output, only the work done. The `rare` walk has no
+    pruning to switch: it counts only transactions and one-item reductions
+    of rare item-sets. The `nonpresent` walk runs at sigma 1 whatever
+    `sigma` is: support 0 is non-present at every sigma.
     """
 
     sigma: int
@@ -191,24 +192,23 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
 def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
     """The rare item-sets, from the longest transaction's size down to single items.
 
-    Level k's candidates are the distinct k-item transactions plus the
-    one-item reductions of level k+1's rare item-sets, which reaches every
-    rare item-set. A candidate lying below an item-set already counted
-    frequent is frequent too and is dropped uncounted, so every counted
-    item-set is present, is counted once, and is one the top-down walk
-    counts as well.
+    Level k counts the distinct k-item transactions plus the one-item
+    reductions of level k+1's rare item-sets, each once. That reaches every
+    rare item-set r: every item-set between r and a transaction holding it
+    is present and has no more support than r, so it is rare too, and the
+    descent from that transaction passes through rare item-sets only down
+    to r. A frequent candidate is counted and not kept. Every counted
+    item-set is present, and at most |distinct transactions| + sum of |r|
+    over the rare results are counted, whatever the width of the universe.
     """
     width = db.width
     by_size: dict[int, set[int]] = {}
     for t in db.transactions:
         by_size.setdefault(t.items.cardinality, set()).add(t.items.mask)
-    counted_frequent: list[int] = []
     rare: list[MinedItemSet] = []
     kept: list[MinedItemSet] = []
     for k in range(max(by_size, default=0), 0, -1):
         masks = by_size.get(k, set()).union(*(iter_child_masks(r.itemset.mask) for r in kept))
-        candidates = [ItemSet(m, width) for m in masks if all(m & f != m for f in counted_frequent)]
-        kept, frequent = evaluate_candidates(candidates, db, sigma)
-        counted_frequent += [f.mask for f in frequent]
+        kept, _ = evaluate_candidates((ItemSet(m, width) for m in masks), db, sigma)
         rare += kept
     return rare

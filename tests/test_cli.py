@@ -6,9 +6,13 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rareminer
 from conftest import WORKED_DB_TEXT
 from rareminer.cli import main
 
@@ -410,3 +414,78 @@ def test_emit_nonpresent_is_mine_at_max_support_1(run, tmp_path):
                            "--emit", "nonpresent")
         assert code == 0
         assert out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("mine", "--max-support", "2", "--output", "{out}", "--input", "{bad}"),
+    ("frequent", "--min-support", "1", "--output", "{out}", "--input", "{bad}"),
+    ("classify", "--max-support", "2", "--output", "{out}", "--input", "{bad}"),
+    ("monitor", "--max-support", "2", "--cycles", "1", "--cycle-duration", "1000",
+     "--store", "{out}", "--events", "{bad}"),
+])
+def test_non_utf8_input_is_usage_error(tmp_path, argv):
+    # The bad byte lies past the first 8 KiB, so the offset is one into the
+    # whole file, not into a read buffer.
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 a b\n" * 2000 + b"0 \xff c\n")
+    out = tmp_path / "out.txt"
+    argv = [arg.format(out=out, bad=bad) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(rareminer.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "rareminer.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"rareminer: error: {bad}: not valid UTF-8 at byte offset 12002\n"
+    assert not out.exists()
+
+
+def test_control_character_labels_keep_joined_string_order(run, tmp_path):
+    # "a\x01" sorts after "a" but "a\x01 b" before "a a\x01", because \x01
+    # sorts below the space that joins labels: the canonical order compares
+    # the joined labels, not the labels one by one.
+    path = tmp_path / "ctl.txt"
+    path.write_text("a b\na\x01 b\na b\n")
+    expected = {
+        ("mine", "--max-support", "2"):
+            "a\x01 : 1 RARE\na\x01 b : 1 RARE\na a\x01 : 0 NONPRESENT\n"
+            "a a\x01 b : 0 NONPRESENT\n",
+        ("classify", "--max-support", "2"):
+            "a : 2 FREQUENT\na\x01 : 1 RARE\nb : 3 FREQUENT\na\x01 b : 1 RARE\n"
+            "a a\x01 : 0 NONPRESENT\na b : 2 FREQUENT\na a\x01 b : 0 NONPRESENT\n",
+        ("frequent", "--min-support", "1"):
+            "a : 2 FREQUENT\na\x01 : 1 FREQUENT\nb : 3 FREQUENT\na\x01 b : 1 FREQUENT\n"
+            "a b : 2 FREQUENT\n",
+    }
+    for argv, text in expected.items():
+        assert run(*argv, "--input", str(path)) == (0, text, "")
+
+
+class TestMonitorReplayIsAllOrNothing:
+    # Windows of 3 cycles x 1000 ms start at 0, 3000 and 6000. Without the
+    # last line the replay prints 4 alerts and stores 5 records; with it, a
+    # timestamp goes backwards after two whole windows.
+    EVENTS = "0 p q\n1000 p q\n2000 p q\n3000 x\n4000 x\n5000 x\n6000 y\n100 z\n"
+
+    def replay(self, run, tmp_path, store):
+        events = tmp_path / "events.txt"
+        events.write_text(self.EVENTS)
+        return run(
+            "monitor", "--events", str(events), "--max-support", "2",
+            "--cycles", "3", "--cycle-duration", "1000", "--store", str(store),
+        )
+
+    def test_backwards_timestamp_mines_and_stores_nothing(self, run, tmp_path):
+        store = tmp_path / "store.jsonl"
+        code, out, err = self.replay(run, tmp_path, store)
+        assert code == 2
+        assert out == ""
+        assert "non-monotone" in err
+        assert not store.exists()
+
+    def test_backwards_timestamp_leaves_an_existing_store_unchanged(self, run, tmp_path):
+        store = tmp_path / "store.jsonl"
+        store.write_bytes(b'{"earlier": "record"}\n')
+        code, out, _ = self.replay(run, tmp_path, store)
+        assert code == 2
+        assert out == ""
+        assert store.read_bytes() == b'{"earlier": "record"}\n'

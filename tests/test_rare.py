@@ -369,7 +369,9 @@ def oracle_class(db, sigma, classification):
 
 
 class TestRareOnlyWalk:
-    """`emit=rare` walks the present item-sets top-down; the output is unchanged."""
+    """`emit=rare` walks the present item-sets top-down: it counts each
+    distinct transaction and each one-item reduction of a rare result once,
+    and the output is the oracle's rare class."""
 
     @settings(deadline=None, max_examples=150)
     @given(rare_only_cases())
@@ -394,28 +396,15 @@ class TestRareOnlyWalk:
 
     @settings(deadline=None, max_examples=150)
     @given(rare_only_cases())
-    def test_counts_present_itemsets_once_each_that_the_top_down_walk_counts(self, case):
+    def test_counts_present_itemsets_once_each_within_the_output_bound(self, case):
         db, sigma, pruning = case
         present = {mask for mask in range(1, 1 << db.width) if db.support_of_mask(mask)}
-        levels = list(iter_levels(db, MiningConfig(sigma)))
-        top_down = {m.itemset.mask for level in levels for m in level.interesting}
-        top_down |= {f.mask for level in levels for f in level.frequent_record}
+        transactions = {t.items.mask for t in db.transactions}
         counted = counting(db)
-        mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="rare"))
+        got = mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="rare"))
+        assert set(counted) <= present
         assert len(counted) == len(set(counted))
-        assert set(counted) <= present & top_down
-
-    @settings(deadline=None, max_examples=150)
-    @given(rare_only_cases())
-    def test_counts_no_more_than_the_top_down_walk(self, case):
-        db, sigma, pruning = case
-        config = MiningConfig(sigma, pruning_enabled=pruning, emit="rare")
-        top_down = sum(
-            len(level.interesting) + len(level.frequent_record) for level in iter_levels(db, config)
-        )
-        counted = counting(db)
-        mine_rare(db, config)
-        assert len(counted) <= top_down
+        assert len(counted) <= len(transactions) + sum(r.itemset.cardinality for r in got)
 
     def test_dense_database_walks_top_down(self):
         # 20 items, each row lacks one of them, 5 rows per missing item, sigma 2:
