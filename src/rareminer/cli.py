@@ -99,8 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
+    # Decode the raw bytes: text mode would turn a lone '\r' into a line
+    # break, which `content_lines` keeps inside its line.
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
 

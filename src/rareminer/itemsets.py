@@ -4,18 +4,19 @@ The item universe of a database is the ordered set of distinct item labels,
 interned in order of first appearance. An item-set is a fixed-width
 bit-vector over that universe, so subset tests and intersections are single
 integer operations. All types here are immutable after construction and
-safe to share across threads; every operation is a pure function. The one
-piece of state built later is each database's per-item index, made on the
-first support count and never mutated after it is built: two threads
-racing on that first count can at worst build it twice, with identical
-results.
+safe to share across threads; every operation is a pure function. Two
+pieces of each database's state are built later, on first use, and never
+mutated after they are built: the per-item index, made on the first
+support count, and the label order, made on the first sort key or
+rendering. Two threads racing on a first use can at worst build the same
+piece twice, as identical copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # Mining rare and non-present item-sets walks from the full item-set down to
 # single items, and the number of rare plus non-present item-sets can approach
@@ -170,6 +171,8 @@ class TransactionDatabase:
         self._transactions = tuple(transactions)
         # Per-item tid-lists, built on the first support count.
         self._tids: Optional[list[int]] = None
+        # Label order tables, built on the first sort key or rendering.
+        self._order: Optional[_LabelOrder] = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -204,7 +207,17 @@ class TransactionDatabase:
         """Member labels, sorted lexicographically."""
         if itemset.width != self.width:
             raise ValueError("item-set width does not match this database")
-        return tuple(sorted(self._labels[i] for i in itemset.item_ids()))
+        order = self._order or self._label_order()
+        mask = itemset.mask
+        ranks = 0
+        for table in order.rank_tables:
+            ranks += table[mask & 0xFF]
+            mask >>= 8
+        # The smallest label sits on the highest rank bit: read chunks top down.
+        labels: tuple[str, ...] = ()
+        for shift, table in order.label_tables:
+            labels += table[ranks >> shift & 0xFF]
+        return labels
 
     def render(self, itemset: ItemSet) -> str:
         """Canonical text form: labels sorted lexicographically, space separated.
@@ -236,6 +249,10 @@ class TransactionDatabase:
             rows &= tids[low.bit_length() - 1]
             mask ^= low
         return rows.bit_count()
+
+    def _label_order(self) -> "_LabelOrder":
+        order = self._order = _LabelOrder(self._labels)
+        return order
 
     def _tid_lists(self) -> list[int]:
         """One int per item whose bit r is set when transaction r holds it."""
@@ -327,9 +344,70 @@ def _build(
     return TransactionDatabase(tuple(index), transactions)
 
 
-def canonical_key(itemset: ItemSet, db: TransactionDatabase) -> tuple[int, str]:
-    """Sort key for all emitted output: cardinality, then rendered labels."""
-    return (itemset.cardinality, db.render(itemset))
+class _LabelOrder:
+    """A database's items ranked by label, as 8-bit lookup tables.
+
+    Rank 0 is the smallest label and sits on the highest of `width` rank
+    bits. Item ids keep their first-appearance order; `rank_tables[j]` maps
+    the j-th byte of an id mask to its rank bits. `label_tables` lists
+    (shift, table) pairs, highest rank byte first; each table maps a rank
+    byte to its labels in ascending order. `key_tables` maps each id byte
+    to its items' count times 2^width minus their rank bits, so that
+    `full` plus one entry per byte is `canonical_key`. It is None when the
+    joined-label order is not the per-label order: some label is empty or
+    holds a character at or below U+0020.
+    """
+
+    __slots__ = ("full", "rank_tables", "label_tables", "key_tables")
+
+    def __init__(self, labels: tuple[str, ...]):
+        width = len(labels)
+        by_label = sorted(range(width), key=labels.__getitem__)
+        rank_bit = [0] * width
+        for rank, item in enumerate(by_label):
+            rank_bit[item] = 1 << (width - 1 - rank)
+        on_bit = [(labels[by_label[width - 1 - bit]],) for bit in range(width)]
+        chunks = range(0, width, 8)
+        self.full = (1 << width) - 1
+        self.rank_tables = [_byte_table(rank_bit[lo:lo + 8], 0) for lo in chunks]
+        self.label_tables = [(lo, _byte_table(on_bit[lo:lo + 8], ())) for lo in reversed(chunks)]
+        self.key_tables: Optional[list[list[int]]] = None
+        if all(label and min(label) > " " for label in labels):
+            below = [(1 << width) - bit for bit in rank_bit]
+            self.key_tables = [_byte_table(below[lo:lo + 8], 0) for lo in chunks]
+
+
+def _byte_table(values: list, zero) -> list:
+    """Entry b is the sum of values[i] over the bits i of b, highest bit first."""
+    table = [zero]
+    for b in range(1, 1 << len(values)):
+        high = b.bit_length() - 1
+        table.append(values[high] + table[b ^ 1 << high])
+    return table
+
+
+def canonical_key(itemset: ItemSet, db: TransactionDatabase) -> Union[int, tuple[int, str]]:
+    """Sort key for all emitted output: cardinality, then rendered labels.
+
+    The key is one int, `cardinality << width | (full ^ rank_mask)`, where
+    `rank_mask` puts the smallest label on the highest bit: within one
+    cardinality, a larger rank mask renders smaller. That is the rendered
+    order only when no label is empty or holds a character at or below
+    U+0020 (the joining space), because then no joined label sequence can
+    sort between a label and its extensions. A database with such a label
+    gets the `(cardinality, rendered labels)` tuple instead; the check is
+    made once per database. Keys compare only within one database.
+    """
+    order = db._order or db._label_order()
+    tables = order.key_tables
+    if tables is None:
+        return (itemset.cardinality, db.render(itemset))
+    mask = itemset.mask
+    key = order.full
+    for table in tables:
+        key += table[mask & 0xFF]
+        mask >>= 8
+    return key
 
 
 def format_result_line(

@@ -14,6 +14,7 @@ import pytest
 
 import rareminer
 from conftest import WORKED_DB_TEXT
+from rareminer import TransactionDatabase, parse_database
 from rareminer.cli import main
 
 MINE_SIGMA3_EXPECTED = """\
@@ -458,6 +459,45 @@ def test_control_character_labels_keep_joined_string_order(run, tmp_path):
     }
     for argv, text in expected.items():
         assert run(*argv, "--input", str(path)) == (0, text, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mine", "--max-support", "2"),
+    ("frequent", "--min-support", "1"),
+    ("classify", "--max-support", "2"),
+])
+def test_lone_carriage_return_stays_inside_its_line(run, tmp_path, argv):
+    # Lines end at '\n' only, so a lone '\r' separates two items of one
+    # transaction, for the command line exactly as for `parse_database`.
+    texts = {"cr.txt": "a b\rc d\na b\n", "space.txt": "a b c d\na b\n"}
+    dbs = [parse_database(text) for text in texts.values()]
+    assert dbs[0].transactions == dbs[1].transactions
+    outputs = []
+    for name, text in texts.items():
+        (tmp_path / name).write_bytes(text.encode())
+        outputs.append(run(*argv, "--input", str(tmp_path / name)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("mine", "--max-support", "3"),
+    ("mine", "--max-support", "3", "--emit", "rare"),
+    ("frequent", "--min-support", "2"),
+    ("classify", "--max-support", "3"),
+])
+def test_each_output_line_is_rendered_once(run, db_file, monkeypatch, argv):
+    rendered = []
+    render = TransactionDatabase.render
+
+    def counted(self, itemset):
+        rendered.append(itemset)
+        return render(self, itemset)
+
+    monkeypatch.setattr(TransactionDatabase, "render", counted)
+    code, out, _ = run(*argv, "--input", db_file)
+    assert code == 0 and out
+    assert len(rendered) == out.count("\n")
 
 
 class TestMonitorReplayIsAllOrNothing:
