@@ -14,7 +14,6 @@ from .itemsets import (
     ItemSet,
     ItemUniverseError,
     MinedItemSet,
-    Transaction,
     TransactionDatabase,
     combinable,
     database_from_transactions,
@@ -65,7 +64,6 @@ __all__ = [
     "ParsedEvents",
     "PatternRecurrence",
     "ReplayOrderError",
-    "Transaction",
     "TransactionDatabase",
     "WindowReport",
     "classify_all",

@@ -142,33 +142,27 @@ def combinable(a: ItemSet, b: ItemSet, k: int) -> bool:
     return (a.mask & b.mask).bit_count() == k
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """One database record: its source line index and its item members."""
-
-    id: int
-    items: ItemSet
-
-
 class TransactionDatabase:
-    """An interned item universe plus an ordered list of transactions."""
+    """An interned item universe plus each transaction's item-id mask.
 
-    def __init__(self, labels: Sequence[str], transactions: Sequence[Transaction]):
+    `rows[r]` has bit i set when transaction r holds item i; rows keep
+    their input order, and each is non-empty and within the universe.
+    """
+
+    def __init__(self, labels: Sequence[str], rows: Iterable[int]):
         labels = tuple(labels)
         index: dict[str, int] = {}
         for i, label in enumerate(labels):
             if label in index:
                 raise ValueError(f"duplicate item label {label!r}")
             index[label] = i
-        width = len(labels)
-        for t in transactions:
-            if t.items.width != width:
-                raise ValueError("transaction width does not match the item universe")
-            if t.items.mask == 0:
-                raise ValueError("empty transactions are not allowed")
+        rows = tuple(rows)
+        limit = 1 << len(labels)
+        if not all(0 < row < limit for row in rows):
+            raise ValueError("every row must be a non-empty item-id mask within the universe")
         self._labels = labels
         self._index = index
-        self._transactions = tuple(transactions)
+        self._rows = rows
         # Per-item tid-lists, built on the first support count.
         self._tids: Optional[list[int]] = None
         # Label order tables, built on the first sort key or rendering.
@@ -179,8 +173,9 @@ class TransactionDatabase:
         return self._labels
 
     @property
-    def transactions(self) -> tuple[Transaction, ...]:
-        return self._transactions
+    def rows(self) -> tuple[int, ...]:
+        """Each transaction's item-id mask, in input order."""
+        return self._rows
 
     @property
     def width(self) -> int:
@@ -189,7 +184,7 @@ class TransactionDatabase:
 
     def __len__(self) -> int:
         """Number of transactions |D|."""
-        return len(self._transactions)
+        return len(self._rows)
 
     def item_id(self, label: str) -> int:
         try:
@@ -240,7 +235,7 @@ class TransactionDatabase:
         if tids is None:
             tids = self._tids = self._tid_lists()
         if not mask:
-            return len(self._transactions)
+            return len(self._rows)
         if mask >> len(tids):
             return 0
         rows = -1
@@ -257,9 +252,8 @@ class TransactionDatabase:
     def _tid_lists(self) -> list[int]:
         """One int per item whose bit r is set when transaction r holds it."""
         tids = [0] * self.width
-        for row, t in enumerate(self._transactions):
-            bit = 1 << row
-            mask = t.items.mask
+        for r, mask in enumerate(self._rows):
+            bit = 1 << r
             while mask:
                 low = mask & -mask
                 tids[low.bit_length() - 1] |= bit
@@ -291,13 +285,12 @@ def parse_database(text: str, *, max_items: int = DEFAULT_ITEM_CAP) -> Transacti
     Tokens are arbitrary non-whitespace labels (numeric ids parse unchanged).
     Lines are read by `content_lines`; duplicate tokens within a line
     collapse to one membership. Items are interned in order of first
-    appearance; each transaction keeps its source line index as its id.
+    appearance, and each line read becomes one row, in file order.
 
     Raises ItemUniverseError when the input holds more than `max_items`
     distinct items, and ValueError when `max_items` is below 1.
     """
-    rows = ((lineno, line.split()) for lineno, line in content_lines(text))
-    return _build(rows, None, max_items)
+    return _build((line.split() for _, line in content_lines(text)), None, max_items)
 
 
 def database_from_transactions(
@@ -313,18 +306,21 @@ def database_from_transactions(
     items are interned in first-appearance order. Empty transactions are
     skipped: they can never affect the support of a non-empty item-set.
     """
-    return _build(enumerate(transactions), universe, max_items)
+    return _build(transactions, universe, max_items)
 
 
 def _build(
-    rows: Iterable[tuple[int, Iterable[str]]],
+    transactions: Iterable[Iterable[str]],
     universe: Optional[Sequence[str]],
     max_items: int,
 ) -> TransactionDatabase:
-    """Intern `(id, labels)` rows, check the item cap, and build the database.
+    """Intern label rows, check the universe and the cap, and build the database.
 
     Labels get ids after those of `universe`, in order of first appearance,
-    so a label outside a given universe shows up as an id beyond it.
+    so a label outside a given universe shows up as an id beyond it. Rows
+    become masks only after the checks pass: a mask is as wide as the
+    largest id in it, so an input far over the cap is refused while it is
+    still small lists of ids.
     """
     if max_items < 1:
         raise ValueError(f"max_items must be at least 1, got {max_items}")
@@ -332,16 +328,19 @@ def _build(
     index = {label: i for i, label in enumerate(fixed)}
     if len(index) != len(fixed):
         raise ValueError("duplicate labels in the item universe")
-    id_rows = [(i, [index.setdefault(label, len(index)) for label in row]) for i, row in rows]
+    id_rows = [[index.setdefault(label, len(index)) for label in row] for row in transactions]
     if universe is not None and len(index) > len(fixed):
         raise ValueError(f"item label {list(index)[len(fixed)]!r} not in the given universe")
     if len(index) > max_items:
         raise ItemUniverseError(len(index), max_items)
-    width = len(index)
-    transactions = [
-        Transaction(i, ItemSet.from_ids(ids, width)) for i, ids in id_rows if ids
-    ]
-    return TransactionDatabase(tuple(index), transactions)
+    rows = []
+    for ids in id_rows:
+        mask = 0
+        for i in ids:
+            mask |= 1 << i
+        if mask:
+            rows.append(mask)
+    return TransactionDatabase(tuple(index), rows)
 
 
 class _LabelOrder:

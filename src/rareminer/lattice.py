@@ -37,9 +37,9 @@ def classify_all(
         raise ItemUniverseError(
             db.width, max_items, what="item universe for exhaustive enumeration"
         )
-    # The referee counts with its own scan over the transactions, never
-    # with the miners' counter, so a fault there cannot hide here.
-    rows = [t.items.mask for t in db.transactions]
+    # The referee counts with its own scan over the rows, never with the
+    # miners' counter, so a fault there cannot hide here.
+    rows = db.rows
     entries = []
     for mask in range(1, 1 << db.width):
         support = 0

@@ -203,8 +203,8 @@ def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet
     """
     width = db.width
     by_size: dict[int, set[int]] = {}
-    for t in db.transactions:
-        by_size.setdefault(t.items.cardinality, set()).add(t.items.mask)
+    for row in db.rows:
+        by_size.setdefault(row.bit_count(), set()).add(row)
     rare: list[MinedItemSet] = []
     kept: list[MinedItemSet] = []
     for k in range(max(by_size, default=0), 0, -1):

@@ -471,7 +471,7 @@ def test_lone_carriage_return_stays_inside_its_line(run, tmp_path, argv):
     # transaction, for the command line exactly as for `parse_database`.
     texts = {"cr.txt": "a b\rc d\na b\n", "space.txt": "a b c d\na b\n"}
     dbs = [parse_database(text) for text in texts.values()]
-    assert dbs[0].transactions == dbs[1].transactions
+    assert dbs[0].rows == dbs[1].rows
     outputs = []
     for name, text in texts.items():
         (tmp_path / name).write_bytes(text.encode())

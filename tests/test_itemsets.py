@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,12 @@ from rareminer import (
     DEFAULT_ITEM_CAP,
     ItemSet,
     ItemUniverseError,
+    TransactionDatabase,
     combinable,
     database_from_transactions,
     parse_database,
 )
+from rareminer.itemsets import canonical_key
 
 
 class TestParsing:
@@ -32,7 +35,7 @@ class TestParsing:
         assert len(worked_db) == 5
         assert worked_db.width == 5
         assert worked_db.labels == ("a", "b", "c", "d", "e")
-        rows = [set(worked_db.labels_of(t.items)) for t in worked_db.transactions]
+        rows = [set(worked_db.labels_of(ItemSet(row, worked_db.width))) for row in worked_db.rows]
         assert rows == [
             {"a", "b", "c", "d"},
             {"b", "d"},
@@ -49,15 +52,15 @@ class TestParsing:
     def test_duplicate_tokens_collapse(self):
         db = parse_database("a a b\n")
         assert len(db) == 1
-        assert db.transactions[0].items.cardinality == 2
+        assert ItemSet(db.rows[0], db.width).cardinality == 2
         assert db.labels == ("a", "b")
 
     def test_comments_and_blank_lines_skipped(self):
         db = parse_database("# header\n\na b\n   \n# tail\nb c\n")
         assert len(db) == 2
         assert db.width == 3
-        # transactions keep their source line index as id
-        assert [t.id for t in db.transactions] == [2, 5]
+        # only the two content lines become rows, in file order
+        assert [db.labels_of(ItemSet(row, db.width)) for row in db.rows] == [("a", "b"), ("b", "c")]
 
     def test_hash_must_prefix_the_line(self):
         # tokens are arbitrary non-whitespace, so an indented '#x' is an item
@@ -80,6 +83,22 @@ class TestParsing:
         # overridable
         db = parse_database(text, max_items=DEFAULT_ITEM_CAP + 1)
         assert db.width == DEFAULT_ITEM_CAP + 1
+
+    def test_cap_is_checked_before_rows_become_masks(self):
+        # A row's mask is as wide as its largest id, so building masks while
+        # interning would hold about 50,000 ints of up to 6 kB each before
+        # the cap refused the input.
+        text = "".join(f"i{n}\n" for n in range(50_000))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with pytest.raises(ItemUniverseError) as excinfo:
+                parse_database(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.n_items == 50_000
+        assert peak < 48_000_000
 
     def test_first_appearance_interning(self):
         db = parse_database("z y\nx z\n")
@@ -105,6 +124,27 @@ class TestBuilder:
     def test_duplicate_universe_labels_rejected(self):
         with pytest.raises(ValueError):
             database_from_transactions([], universe=["a", "a"])
+
+
+class TestConstructor:
+    def test_rows_are_kept_in_order(self):
+        db = TransactionDatabase(["a", "b", "c"], [0b110, 0b001, 0b110])
+        assert db.rows == (0b110, 0b001, 0b110)
+        assert len(db) == 3
+        assert db.support_of_mask(0b010) == 2
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="duplicate item label 'a'"):
+            TransactionDatabase(["a", "b", "a"], [0b1])
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            TransactionDatabase(["a", "b"], [0b1, 0])
+
+    @pytest.mark.parametrize("row", [0b100, 0b101, 1 << 10])
+    def test_row_past_the_width_rejected(self, row):
+        with pytest.raises(ValueError, match="within the universe"):
+            TransactionDatabase(["a", "b"], [row])
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -253,14 +293,44 @@ def test_counter_matches_label_scan_on_every_mask(db):
     assert db.support_of_mask(1 << db.width) == 0
 
 
-def test_threads_racing_on_the_first_count_agree():
+def _counts(db) -> list[int]:
+    return [db.support_of_mask(m) for m in range(1 << db.width)]
+
+
+def _naive_counts(db) -> list[int]:
+    label_sets = label_rows(db)
+    return [naive_label_support(label_sets, _naive_labels(db, m)) for m in range(1 << db.width)]
+
+
+def _order(db) -> tuple[list, list[int]]:
+    """Each mask's labels, and the masks sorted by their canonical keys."""
+    itemsets = [ItemSet(m, db.width) for m in range(1 << db.width)]
+    pairs = [(db.labels_of(s), canonical_key(s, db)) for s in itemsets]
+    ranked = sorted(range(len(pairs)), key=lambda m: pairs[m][1])
+    return [labels for labels, _ in pairs], ranked
+
+
+def _naive_order(db) -> tuple[list, list[int]]:
+    labels = [_naive_labels(db, m) for m in range(1 << db.width)]
+    ranked = sorted(range(len(labels)), key=lambda m: (len(labels[m]), " ".join(labels[m])))
+    return labels, ranked
+
+
+def _naive_labels(db, mask: int) -> tuple[str, ...]:
+    return tuple(sorted(label for i, label in enumerate(db.labels) if mask >> i & 1))
+
+
+@pytest.mark.parametrize("first_use, naive", [
+    pytest.param(_counts, _naive_counts, id="support_of_mask"),
+    pytest.param(_order, _naive_order, id="labels_of-canonical_key"),
+])
+def test_threads_racing_on_the_first_count_agree(first_use, naive):
     rng = random.Random(20261018)
     rows = [[label for label in CORPUS_LABELS[:8] if rng.random() < 0.5] or ["a"] for _ in range(300)]
     reference = database_from_transactions(rows)
-    masks = range(1 << reference.width)
-    label_sets = label_rows(reference)
-    expected = [naive_label_support(label_sets, reference.labels_of(ItemSet(m, reference.width)))
-                for m in masks]
+    # Interning order is not label order, so the label order table is not trivial.
+    assert list(reference.labels) != sorted(reference.labels)
+    expected = naive(reference)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -268,10 +338,10 @@ def test_threads_racing_on_the_first_count_agree():
             db = database_from_transactions(rows)
             results: list = [None] * 8
 
-            def count(slot: int) -> None:
-                results[slot] = [db.support_of_mask(m) for m in masks]
+            def run(slot: int) -> None:
+                results[slot] = first_use(db)
 
-            threads = [threading.Thread(target=count, args=(slot,)) for slot in range(8)]
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -302,20 +372,20 @@ class TestRendering:
 def test_parse_render_parse_round_trip(seed):
     rng = random.Random(seed)
     db = random_database(rng)
-    text = "".join(db.render(t.items) + "\n" for t in db.transactions)
+    text = "".join(db.render(ItemSet(row, db.width)) + "\n" for row in db.rows)
     reparsed = parse_database(text)
     assert len(reparsed) == len(db)
     assert set(reparsed.labels) <= set(db.labels)
-    original = [set(db.labels_of(t.items)) for t in db.transactions]
-    round_tripped = [set(reparsed.labels_of(t.items)) for t in reparsed.transactions]
+    original = [set(db.labels_of(ItemSet(row, db.width))) for row in db.rows]
+    round_tripped = [set(reparsed.labels_of(ItemSet(row, reparsed.width))) for row in reparsed.rows]
     assert original == round_tripped
 
 
 def test_round_trip_worked_database(worked_db):
-    text = "".join(worked_db.render(t.items) + "\n" for t in worked_db.transactions)
+    text = "".join(worked_db.render(ItemSet(row, worked_db.width)) + "\n" for row in worked_db.rows)
     reparsed = parse_database(text)
-    assert [set(reparsed.labels_of(t.items)) for t in reparsed.transactions] == [
-        set(worked_db.labels_of(t.items)) for t in worked_db.transactions
+    assert [set(reparsed.labels_of(ItemSet(row, reparsed.width))) for row in reparsed.rows] == [
+        set(worked_db.labels_of(ItemSet(row, worked_db.width))) for row in worked_db.rows
     ]
 
 
@@ -333,4 +403,4 @@ class TestLineEnds:
         crlf = parse_database(text.replace("\n", "\r\n"))
         lf = parse_database(text)
         assert crlf.labels == lf.labels == ("a", "b", "c")
-        assert crlf.transactions == lf.transactions
+        assert crlf.rows == lf.rows

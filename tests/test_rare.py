@@ -399,7 +399,7 @@ class TestRareOnlyWalk:
     def test_counts_present_itemsets_once_each_within_the_output_bound(self, case):
         db, sigma, pruning = case
         present = {mask for mask in range(1, 1 << db.width) if db.support_of_mask(mask)}
-        transactions = {t.items.mask for t in db.transactions}
+        transactions = set(db.rows)
         counted = counting(db)
         got = mine_rare(db, MiningConfig(sigma, pruning_enabled=pruning, emit="rare"))
         assert set(counted) <= present
