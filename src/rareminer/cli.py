@@ -10,7 +10,6 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import stat
 import sys
@@ -181,6 +180,23 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
+    # The package logs only the monitor's warnings (a skipped event line or
+    # cycle); print them in the front end's own stderr format. `logging` is
+    # imported here so that the file miners never load it.
+    import logging
+
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("rareminer: warning: %(message)s"))
+    package_log = logging.getLogger("rareminer")
+    package_log.addHandler(handler)
+    try:
+        return _replay_events(args)
+    finally:
+        package_log.removeHandler(handler)
+
+
+def _replay_events(args: argparse.Namespace) -> int:
     for flag, value in (("--max-support", args.max_support),
                         ("--cycles", args.cycles),
                         ("--cycle-duration", args.cycle_duration)):
@@ -210,13 +226,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # The package logs only warnings (a skipped event line or cycle); print
-    # them in the front end's own stderr format.
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("rareminer: warning: %(message)s"))
-    package_log = logging.getLogger("rareminer")
-    package_log.addHandler(handler)
     try:
         return args.func(args)
     except (_UsageError, ItemUniverseError, ReplayOrderError) as exc:
@@ -225,8 +234,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"rareminer: error: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        package_log.removeHandler(handler)
 
 
 if __name__ == "__main__":

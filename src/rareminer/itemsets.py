@@ -6,10 +6,13 @@ bit-vector over that universe, so subset tests and intersections are single
 integer operations. All types here are immutable after construction and
 safe to share across threads; every operation is a pure function. Two
 pieces of each database's state are built later, on first use, and never
-mutated after they are built: the per-item index, made on the first
+mutated after they are built: the support index, made on the first
 support count, and the label order, made on the first sort key or
-rendering. Two threads racing on a first use can at worst build the same
-piece twice, as identical copies.
+rendering. The support index holds each item's tid-list (an int with a
+bit per transaction) in one 16-entry table per 4 items, whose entry b is
+the AND of the tid-lists of nibble b's items; it takes at most 4x the
+memory of the plain tid-lists. Two threads racing on a first use can at
+worst build the same piece twice, as identical copies.
 """
 
 from __future__ import annotations
@@ -163,8 +166,8 @@ class TransactionDatabase:
         self._labels = labels
         self._index = index
         self._rows = rows
-        # Per-item tid-lists, built on the first support count.
-        self._tids: Optional[list[int]] = None
+        # 4-item tid-list tables, built on the first support count.
+        self._tables: Optional[list[list[int]]] = None
         # Label order tables, built on the first sort key or rendering.
         self._order: Optional[_LabelOrder] = None
 
@@ -225,32 +228,42 @@ class TransactionDatabase:
     def support_of_mask(self, mask: int) -> int:
         """Number of transactions holding every item of `mask`.
 
-        Counts on a vertical index (Eclat's tid-lists): item i's int has bit
-        r set when transaction r holds item i. The count is the AND of the
-        members' ints, stopped as soon as it is empty, then its bit count.
-        The empty mask counts every transaction; a mask with a bit outside
-        the universe counts none.
+        Counts on a vertical index (Eclat's tid-lists): item i's tid-list is
+        an int with bit r set when transaction r holds item i. The index
+        keeps one 16-entry table per 4 items, whose entry b is the AND of
+        the tid-lists of the items in nibble b (entry 0 is every row), so
+        the count is one AND per 4 items up to the mask's highest member,
+        then a bit count. The empty mask counts every transaction; a mask
+        with a bit outside the universe counts none.
         """
-        tids = self._tids
-        if tids is None:
-            tids = self._tids = self._tid_lists()
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = self._nibble_tables()
         if not mask:
             return len(self._rows)
-        if mask >> len(tids):
+        if mask >> len(self._labels):
             return 0
         rows = -1
-        while mask and rows:
-            low = mask & -mask
-            rows &= tids[low.bit_length() - 1]
-            mask ^= low
+        chunk = 0
+        while mask:
+            rows &= tables[chunk][mask & 0xF]
+            mask >>= 4
+            chunk += 1
         return rows.bit_count()
 
     def _label_order(self) -> "_LabelOrder":
         order = self._order = _LabelOrder(self._labels)
         return order
 
-    def _tid_lists(self) -> list[int]:
-        """One int per item whose bit r is set when transaction r holds it."""
+    def _nibble_tables(self) -> list[list[int]]:
+        """Per 4 items, entry b is the AND of the tid-lists of nibble b's items.
+
+        A tid-list has bit r set when transaction r holds the item. Entry 0
+        of every table is one shared all-rows int and each one-item entry is
+        that item's tid-list itself, so a full table adds 11 ints, each no
+        wider than the narrowest tid-list it joins: with the list slots,
+        the index takes at most 4x the memory of the plain tid-lists.
+        """
         tids = [0] * self.width
         for r, mask in enumerate(self._rows):
             bit = 1 << r
@@ -258,7 +271,17 @@ class TransactionDatabase:
                 low = mask & -mask
                 tids[low.bit_length() - 1] |= bit
                 mask ^= low
-        return tids
+        every = (1 << len(self._rows)) - 1
+        tables = []
+        for lo in range(0, self.width, 4):
+            chunk = tids[lo:lo + 4]
+            table = [every]
+            for b in range(1, 1 << len(chunk)):
+                high = b.bit_length() - 1
+                rest = b ^ 1 << high
+                table.append(table[rest] & chunk[high] if rest else chunk[high])
+            tables.append(table)
+        return tables
 
     def support(self, itemset: ItemSet) -> int:
         """Exact number of transactions containing every item of `itemset`."""

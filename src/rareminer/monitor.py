@@ -17,16 +17,12 @@ produce identical alerts and identical store bytes.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .itemsets import ItemUniverseError, content_lines, database_from_transactions
 from .rare import EMIT_RARE, MiningConfig, mine_rare
-
-log = logging.getLogger(__name__)
 
 AlertSink = Callable[["Alert"], None]
 
@@ -133,7 +129,7 @@ def parse_events(text: str) -> ParsedEvents:
         tokens = line.split()
         if not (tokens[0].isascii() and tokens[0].isdigit()) or len(tokens) < 2:
             skipped += 1
-            log.warning("skipping malformed event line %d: %r", lineno, line)
+            _warn("skipping malformed event line %d: %r", lineno, line)
             continue
         timestamp = int(tokens[0])
         if last_timestamp is not None and timestamp < last_timestamp:
@@ -187,7 +183,7 @@ def run_window(
             db = database_from_transactions(event.items for event in bucket)
         except ItemUniverseError as exc:
             skipped_cycles += 1
-            log.warning("skipping cycle %d of the window at %d ms: %s", cycle, window_start, exc)
+            _warn("skipping cycle %d of the window at %d ms: %s", cycle, window_start, exc)
             continue
         for found in mine_rare(db, MiningConfig(config.sigma, emit=EMIT_RARE)):
             labels = db.labels_of(found.itemset)
@@ -226,23 +222,24 @@ def persist_window(report: WindowReport, store_path: Union[str, Path]) -> None:
     window always appends identical bytes. The store is opened even when
     there is nothing to write, so an unwritable path always fails the window.
     """
+    import json
+
     alerted = {alert.labels for alert in report.alerts}
-    lines = [
-        json.dumps(
+    encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+    text = "".join(
+        encode(
             {
                 "window_start": report.window_start,
                 "itemset": list(rec.labels),
                 "cycles_detected": rec.cycles_detected,
                 "alerted": rec.labels in alerted,
-            },
-            separators=(",", ":"),
-            ensure_ascii=False,
+            }
         )
+        + "\n"
         for rec in report.recurrences
-    ]
+    )
     with open(store_path, "a", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(text)
 
 
 def replay(
@@ -276,6 +273,14 @@ def replay(
         )
         start_index = end_index
     return reports
+
+
+def _warn(message: str, *args: object) -> None:
+    """Log a warning on this module's logger; `logging` is imported only here,
+    so front ends that never warn never load it."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def format_alert_line(alert: Alert) -> str:

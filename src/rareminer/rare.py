@@ -28,11 +28,11 @@ from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Iterator
 
 from .itemsets import (
+    Classification,
     ItemSet,
     MinedItemSet,
     TransactionDatabase,
     canonical_key,
-    classify_support,
     iter_child_masks,
 )
 
@@ -96,22 +96,20 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
     if not members:
         return []
     width = members[0].width
-    cardinality = members[0].cardinality
-    for m in members:
-        if m.width != width:
-            raise ValueError("mixed item-set widths in one level")
-        if m.cardinality != cardinality:
-            raise ValueError("mixed cardinalities in one level")
+    if len({m.width for m in members}) > 1:
+        raise ValueError("mixed item-set widths in one level")
+    masks = {m.mask for m in members}
+    if len({mask.bit_count() for mask in masks}) > 1:
+        raise ValueError("mixed cardinalities in one level")
     # The intersection of two distinct (k+1)-sets has k items exactly when
     # both are one-item extensions of the same k-set, so a k-set is a
     # candidate iff at least two of its (k+1)-supersets sit in the level.
     # Counting parents per child is linear in the level size where the
     # literal pairwise intersection is quadratic; the output is identical.
-    parents: Counter[int] = Counter()
-    for mask in {m.mask for m in members}:
-        for child in iter_child_masks(mask):
-            parents[child] += 1
-    return [ItemSet(mask, width) for mask in sorted(c for c, n in parents.items() if n >= 2)]
+    # One list of every member's one-item reductions, counted by Counter in C.
+    bits = [1 << i for i in range(width)]
+    parents = Counter([mask ^ bit for bit in bits for mask in masks if mask & bit])
+    return [ItemSet(mask, width) for mask in sorted([c for c, n in parents.items() if n >= 2])]
 
 
 def prune_candidates(
@@ -135,10 +133,12 @@ def evaluate_candidates(
     """
     kept: list[MinedItemSet] = []
     frequent: list[ItemSet] = []
+    count = db.support_of_mask
+    rare, nonpresent = Classification.RARE, Classification.NONPRESENT
     for itemset in candidates:
-        support = db.support_of_mask(itemset.mask)
+        support = count(itemset.mask)
         if support < sigma:
-            kept.append(MinedItemSet(itemset, support, classify_support(support, sigma)))
+            kept.append(MinedItemSet(itemset, support, rare if support else nonpresent))
         else:
             frequent.append(itemset)
     return kept, frequent

@@ -308,6 +308,20 @@ class TestMonitor:
         assert code == 0
         assert "skipped 1 malformed" in err
 
+    def test_each_malformed_line_warns_once_then_the_total(self, run, tmp_path):
+        events = self.write_events(tmp_path, "junk\n0 a\n+5 b\n500 a\n")
+        store = str(tmp_path / "store.jsonl")
+        code, _, err = run(
+            "monitor", "--events", events, "--max-support", "2",
+            "--cycles", "1", "--cycle-duration", "1000", "--store", store,
+        )
+        assert code == 0
+        assert err.splitlines() == [
+            "rareminer: warning: skipping malformed event line 1: 'junk'",
+            "rareminer: warning: skipping malformed event line 3: '+5 b'",
+            "rareminer: warning: skipped 2 malformed event line(s)",
+        ]
+
     def test_deterministic_stdout(self, run, tmp_path):
         events = self.write_events(tmp_path)
         first = run(*self.monitor_args(events, str(tmp_path / "s1.jsonl")))
@@ -438,6 +452,19 @@ def test_non_utf8_input_is_usage_error(tmp_path, argv):
     assert proc.stdout == ""
     assert proc.stderr == f"rareminer: error: {bad}: not valid UTF-8 at byte offset 12002\n"
     assert not out.exists()
+
+
+def test_importing_the_cli_loads_neither_json_nor_logging():
+    # Only the monitor writes JSON or logs; `mine`, `frequent` and `classify`
+    # should not pay for importing either. -S keeps site-packages hooks out.
+    src = str(Path(rareminer.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import rareminer.cli; "
+        "print(sorted({'json', 'logging'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_control_character_labels_keep_joined_string_order(run, tmp_path):

@@ -293,6 +293,55 @@ def test_counter_matches_label_scan_on_every_mask(db):
     assert db.support_of_mask(1 << db.width) == 0
 
 
+def _chunk_edge_database(width: int, n_rows: int, seed: int) -> TransactionDatabase:
+    """`n_rows` random rows over a forced universe of `width` items."""
+    rng = random.Random(seed)
+    universe = [f"i{n}" for n in range(width)]
+    rows = [[label for label in universe if rng.random() < 0.6] or universe[:1] for _ in range(n_rows)]
+    return database_from_transactions(rows, universe=universe)
+
+
+@pytest.mark.parametrize("n_rows", [0, 70])
+@pytest.mark.parametrize("width", range(14))
+def test_counter_across_chunk_edges_matches_label_scan(width, n_rows):
+    # The index keeps one table per 4 items, so widths 0-13 cover no table,
+    # full tables, and a last table of 1, 2 or 3 items; at 0 rows, every
+    # table entry is the empty tid-list.
+    db = _chunk_edge_database(width, n_rows, seed=width)
+    rows = label_rows(db)
+    if width <= 8:
+        masks = list(range(1 << width))
+    else:
+        rng = random.Random(width)
+        masks = [rng.getrandbits(width) for _ in range(300)]
+    # Masks whose only members sit in the last, possibly partial, table.
+    last = max(width - 1, 0) // 4 * 4
+    masks += [m << last for m in range(1, 1 << (width - last))]
+    for mask in masks:
+        expected = naive_label_support(rows, db.labels_of(ItemSet(mask, width)))
+        assert db.support_of_mask(mask) == expected, mask
+    assert db.support_of_mask(0) == len(db)
+    # A bit past the universe matches no transaction, alone or with members.
+    assert db.support_of_mask(1 << width) == 0
+    assert db.support_of_mask((1 << width + 1) - 1) == 0
+
+
+@pytest.mark.parametrize("width, n_rows", [(1, 3), (4, 10), (5, 200), (13, 1000), (24, 5000)])
+def test_counter_index_is_at_most_4x_the_tid_lists(width, n_rows):
+    db = _chunk_edge_database(width, n_rows, seed=width)
+    tid_lists = [sum(1 << r for r, row in enumerate(db.rows) if row >> i & 1) for i in range(width)]
+    db.support_of_mask(1)
+    tables = db._tables
+    assert [table[1 << i] for table in tables for i in range(4) if 1 << i < len(table)] == tid_lists
+
+    def footprint(lists, ints):
+        distinct = {id(n): n for n in ints}.values()
+        return sum(map(sys.getsizeof, lists)) + sum(map(sys.getsizeof, distinct))
+
+    index = footprint([tables, *tables], [n for table in tables for n in table])
+    assert index <= 4 * footprint([tid_lists], tid_lists)
+
+
 def _counts(db) -> list[int]:
     return [db.support_of_mask(m) for m in range(1 << db.width)]
 

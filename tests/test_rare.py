@@ -146,6 +146,17 @@ class TestCandidateGeneration:
     def test_singleton_input_has_no_pairs(self, worked_db):
         assert generate_candidates([worked_db.itemset_from_labels("abc")]) == []
 
+    def test_duplicate_members_count_as_one_parent(self, worked_db):
+        # Counting the raw member list would give abc's three reductions two
+        # parents each, and wrongly return a b, a c and b c.
+        abc = worked_db.itemset_from_labels("abc")
+        assert generate_candidates([abc, abc]) == []
+        assert generate_candidates([abc, ItemSet(abc.mask, abc.width)]) == []
+
+    def test_mixed_widths_rejected(self):
+        with pytest.raises(ValueError, match="widths"):
+            generate_candidates([ItemSet(0b011, 3), ItemSet(0b101, 4)])
+
     def test_mixed_cardinalities_rejected(self, worked_db):
         with pytest.raises(ValueError):
             generate_candidates(
@@ -168,8 +179,8 @@ class TestCandidateGeneration:
                 inter = a & b
                 if bin(inter).count("1") == k1 - 1:
                     reference.add(inter)
-            got = generate_candidates([ItemSet(m, width) for m in level])
-            assert {c.mask for c in got} == reference
+            got = [c.mask for c in generate_candidates([ItemSet(m, width) for m in level])]
+            assert got == sorted(reference)
 
 
 class TestPruning:
