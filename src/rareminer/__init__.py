@@ -15,7 +15,6 @@ from .itemsets import (
     ItemUniverseError,
     MinedItemSet,
     TransactionDatabase,
-    combinable,
     database_from_transactions,
     format_result_line,
     parse_database,
@@ -67,7 +66,6 @@ __all__ = [
     "TransactionDatabase",
     "WindowReport",
     "classify_all",
-    "combinable",
     "coverage",
     "database_from_transactions",
     "evaluate_candidates",

@@ -1,13 +1,15 @@
 """Item interning, bit-vector item-sets, and transaction databases.
 
-The item universe of a database is the ordered set of distinct item labels,
-interned in order of first appearance. An item-set is a fixed-width
-bit-vector over that universe, so subset tests and intersections are single
-integer operations. All types here are immutable after construction and
-safe to share across threads; every operation is a pure function. Two
-pieces of each database's state are built later, on first use, and never
-mutated after they are built: the support index, made on the first
-support count, and the label order, made on the first sort key or
+The item universe of a database is its distinct item labels, with ids in
+descending label order. An item-set is a fixed-width bit-vector over that
+universe, so subset tests and intersections are single integer operations,
+and within one cardinality a larger mask renders smaller: a mask compares
+like its rendered labels, and ids, masks and ascending-mask orders do not
+depend on the order of the input. All types here are immutable after
+construction and safe to share across threads; every operation is a pure
+function. Two pieces of each database's state are built later, on first
+use, and never mutated after they are built: the support index, made on
+the first support count, and the label tables, made on the first
 rendering. The support index holds each item's tid-list (an int with a
 bit per transaction) in one 16-entry table per 4 items, whose entry b is
 the AND of the tid-lists of nibble b's items; it takes at most 4x the
@@ -133,21 +135,11 @@ def iter_child_masks(mask: int) -> Iterator[int]:
         bits ^= low
 
 
-def combinable(a: ItemSet, b: ItemSet, k: int) -> bool:
-    """True iff both operands have k+1 items and share exactly k of them.
-
-    This is the condition under which intersecting two item-sets of one
-    lattice level yields a member of the level below.
-    """
-    _require_same_width(a, b)
-    if a.cardinality != k + 1 or b.cardinality != k + 1:
-        return False
-    return (a.mask & b.mask).bit_count() == k
-
-
 class TransactionDatabase:
     """An interned item universe plus each transaction's item-id mask.
 
+    `labels[i]` is item i's label, and the labels strictly descend: ids run
+    in descending label order, so a mask compares like its rendered labels.
     `rows[r]` has bit i set when transaction r holds item i; rows keep
     their input order, and each is non-empty and within the universe.
     """
@@ -159,6 +151,8 @@ class TransactionDatabase:
             if label in index:
                 raise ValueError(f"duplicate item label {label!r}")
             index[label] = i
+        if any(a < b for a, b in zip(labels, labels[1:])):
+            raise ValueError("item labels must be in descending order")
         rows = tuple(rows)
         limit = 1 << len(labels)
         if not all(0 < row < limit for row in rows):
@@ -168,8 +162,10 @@ class TransactionDatabase:
         self._rows = rows
         # 4-item tid-list tables, built on the first support count.
         self._tables: Optional[list[list[int]]] = None
-        # Label order tables, built on the first sort key or rendering.
-        self._order: Optional[_LabelOrder] = None
+        # Per 8 ids, each byte's labels, built on the first rendering.
+        self._label_tables: Optional[list[tuple[int, list[tuple[str, ...]]]]] = None
+        # Whether `canonical_key` can be its int form; see there.
+        self._mask_keys = all(label and min(label) > " " for label in labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -202,26 +198,22 @@ class TransactionDatabase:
         return ItemSet.full(self.width)
 
     def labels_of(self, itemset: ItemSet) -> tuple[str, ...]:
-        """Member labels, sorted lexicographically."""
+        """Member labels, sorted lexicographically: highest id first."""
         if itemset.width != self.width:
             raise ValueError("item-set width does not match this database")
-        order = self._order or self._label_order()
+        tables = self._label_tables
+        if tables is None:
+            tables = self._label_tables = self._byte_label_tables()
         mask = itemset.mask
-        ranks = 0
-        for table in order.rank_tables:
-            ranks += table[mask & 0xFF]
-            mask >>= 8
-        # The smallest label sits on the highest rank bit: read chunks top down.
         labels: tuple[str, ...] = ()
-        for shift, table in order.label_tables:
-            labels += table[ranks >> shift & 0xFF]
+        for shift, table in tables:
+            labels += table[mask >> shift & 0xFF]
         return labels
 
     def render(self, itemset: ItemSet) -> str:
         """Canonical text form: labels sorted lexicographically, space separated.
 
-        Used for all output and persistence so results are byte-deterministic
-        and independent of item interning order.
+        Used for all output and persistence so results are byte-deterministic.
         """
         return " ".join(self.labels_of(itemset))
 
@@ -251,9 +243,18 @@ class TransactionDatabase:
             chunk += 1
         return rows.bit_count()
 
-    def _label_order(self) -> "_LabelOrder":
-        order = self._order = _LabelOrder(self._labels)
-        return order
+    def _byte_label_tables(self) -> list[tuple[int, list[tuple[str, ...]]]]:
+        """(shift, table) per 8 ids, highest ids first; entry b of a table is
+        the labels of the byte's set bits, highest id first, so ascending."""
+        tables = []
+        for lo in reversed(range(0, self.width, 8)):
+            chunk = self._labels[lo:lo + 8]
+            table: list[tuple[str, ...]] = [()]
+            for b in range(1, 1 << len(chunk)):
+                high = b.bit_length() - 1
+                table.append((chunk[high],) + table[b ^ 1 << high])
+            tables.append((lo, table))
+        return tables
 
     def _nibble_tables(self) -> list[list[int]]:
         """Per 4 items, entry b is the AND of the tid-lists of nibble b's items.
@@ -296,8 +297,10 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
     A line ends at '\n' only, and one trailing '\r' is dropped, so CRLF files
     read like LF files while form feeds and Unicode line separators stay
     inside their line. Blank lines and lines starting with '#' are skipped.
+    One leading U+FEFF (a UTF-8 byte-order mark) is dropped, so a file
+    saved with one reads like the same file without it.
     """
-    for i, line in enumerate(text.split("\n")):
+    for i, line in enumerate(text.removeprefix("\ufeff").split("\n")):
         if line.strip() and not line.startswith("#"):
             yield i, line.removesuffix("\r")
 
@@ -307,8 +310,10 @@ def parse_database(text: str, *, max_items: int = DEFAULT_ITEM_CAP) -> Transacti
 
     Tokens are arbitrary non-whitespace labels (numeric ids parse unchanged).
     Lines are read by `content_lines`; duplicate tokens within a line
-    collapse to one membership. Items are interned in order of first
-    appearance, and each line read becomes one row, in file order.
+    collapse to one membership. Item ids run in descending label order, so
+    a mask compares like its rendered labels and the ids do not depend on
+    the order of lines or tokens; each line read becomes one row, in file
+    order.
 
     Raises ItemUniverseError when the input holds more than `max_items`
     distinct items, and ValueError when `max_items` is below 1.
@@ -325,9 +330,10 @@ def database_from_transactions(
     """Build a database from in-memory label collections.
 
     With `universe` given, the item dictionary is fixed up front (items may
-    then occur in no transaction) and unknown labels are rejected; otherwise
-    items are interned in first-appearance order. Empty transactions are
-    skipped: they can never affect the support of a non-empty item-set.
+    then occur in no transaction) and unknown labels are rejected. Either
+    way, item ids run in descending label order, so a mask compares like its
+    rendered labels. Empty transactions are skipped: they can never affect
+    the support of a non-empty item-set.
     """
     return _build(transactions, universe, max_items)
 
@@ -339,11 +345,13 @@ def _build(
 ) -> TransactionDatabase:
     """Intern label rows, check the universe and the cap, and build the database.
 
-    Labels get ids after those of `universe`, in order of first appearance,
-    so a label outside a given universe shows up as an id beyond it. Rows
-    become masks only after the checks pass: a mask is as wide as the
-    largest id in it, so an input far over the cap is refused while it is
-    still small lists of ids.
+    Labels are interned after those of `universe`, in order of first
+    appearance, so a label outside a given universe shows up as an index
+    beyond it. Only after the checks pass are the labels given ids in
+    descending label order, so that a mask compares like its rendered
+    labels, and each row ORed into its mask: a mask is as wide as its
+    largest id, so an input far over the cap is refused while it is still
+    small lists of indices.
     """
     if max_items < 1:
         raise ValueError(f"max_items must be at least 1, got {max_items}")
@@ -356,80 +364,37 @@ def _build(
         raise ValueError(f"item label {list(index)[len(fixed)]!r} not in the given universe")
     if len(index) > max_items:
         raise ItemUniverseError(len(index), max_items)
+    labels = sorted(index, reverse=True)
+    bits = [0] * len(labels)
+    for item_id, label in enumerate(labels):
+        bits[index[label]] = 1 << item_id
     rows = []
     for ids in id_rows:
         mask = 0
         for i in ids:
-            mask |= 1 << i
+            mask |= bits[i]
         if mask:
             rows.append(mask)
-    return TransactionDatabase(tuple(index), rows)
-
-
-class _LabelOrder:
-    """A database's items ranked by label, as 8-bit lookup tables.
-
-    Rank 0 is the smallest label and sits on the highest of `width` rank
-    bits. Item ids keep their first-appearance order; `rank_tables[j]` maps
-    the j-th byte of an id mask to its rank bits. `label_tables` lists
-    (shift, table) pairs, highest rank byte first; each table maps a rank
-    byte to its labels in ascending order. `key_tables` maps each id byte
-    to its items' count times 2^width minus their rank bits, so that
-    `full` plus one entry per byte is `canonical_key`. It is None when the
-    joined-label order is not the per-label order: some label is empty or
-    holds a character at or below U+0020.
-    """
-
-    __slots__ = ("full", "rank_tables", "label_tables", "key_tables")
-
-    def __init__(self, labels: tuple[str, ...]):
-        width = len(labels)
-        by_label = sorted(range(width), key=labels.__getitem__)
-        rank_bit = [0] * width
-        for rank, item in enumerate(by_label):
-            rank_bit[item] = 1 << (width - 1 - rank)
-        on_bit = [(labels[by_label[width - 1 - bit]],) for bit in range(width)]
-        chunks = range(0, width, 8)
-        self.full = (1 << width) - 1
-        self.rank_tables = [_byte_table(rank_bit[lo:lo + 8], 0) for lo in chunks]
-        self.label_tables = [(lo, _byte_table(on_bit[lo:lo + 8], ())) for lo in reversed(chunks)]
-        self.key_tables: Optional[list[list[int]]] = None
-        if all(label and min(label) > " " for label in labels):
-            below = [(1 << width) - bit for bit in rank_bit]
-            self.key_tables = [_byte_table(below[lo:lo + 8], 0) for lo in chunks]
-
-
-def _byte_table(values: list, zero) -> list:
-    """Entry b is the sum of values[i] over the bits i of b, highest bit first."""
-    table = [zero]
-    for b in range(1, 1 << len(values)):
-        high = b.bit_length() - 1
-        table.append(values[high] + table[b ^ 1 << high])
-    return table
+    return TransactionDatabase(labels, rows)
 
 
 def canonical_key(itemset: ItemSet, db: TransactionDatabase) -> Union[int, tuple[int, str]]:
     """Sort key for all emitted output: cardinality, then rendered labels.
 
-    The key is one int, `cardinality << width | (full ^ rank_mask)`, where
-    `rank_mask` puts the smallest label on the highest bit: within one
-    cardinality, a larger rank mask renders smaller. That is the rendered
-    order only when no label is empty or holds a character at or below
-    U+0020 (the joining space), because then no joined label sequence can
-    sort between a label and its extensions. A database with such a label
-    gets the `(cardinality, rendered labels)` tuple instead; the check is
-    made once per database. Keys compare only within one database.
+    Ids run in descending label order, so the smallest label sits on the
+    highest bit, and within one cardinality a larger mask renders smaller.
+    The key is therefore one int, `cardinality << width | (full ^ mask)`,
+    with no lookups. That is the rendered order only when no label is empty
+    or holds a character at or below U+0020 (the joining space), because
+    then no joined label sequence can sort between a label and its
+    extensions. A database with such a label gets the `(cardinality,
+    rendered labels)` tuple instead; the check is made once per database.
+    Keys compare only within one database.
     """
-    order = db._order or db._label_order()
-    tables = order.key_tables
-    if tables is None:
+    if not db._mask_keys:
         return (itemset.cardinality, db.render(itemset))
-    mask = itemset.mask
-    key = order.full
-    for table in tables:
-        key += table[mask & 0xFF]
-        mask >>= 8
-    return key
+    mask, width = itemset.mask, itemset.width
+    return mask.bit_count() << width | ((1 << width) - 1 ^ mask)
 
 
 def format_result_line(

@@ -27,7 +27,8 @@ def classify_all(
 
     Classes: support >= sigma is frequent, 0 < support < sigma is rare,
     support 0 is non-present. Entries come back in ascending bit-vector
-    order for reproducible dumps.
+    order for reproducible dumps: ids run in descending label order, so
+    that order does not depend on the order of the input.
     """
     if sigma < 1:
         raise ValueError(f"sigma must be at least 1, got {sigma}")

@@ -1,12 +1,12 @@
 """The int sort key orders every result exactly as its rendered labels do.
 
-`canonical_key` ranks labels once per database and sorts on ints, falling
-back to `(cardinality, rendered labels)` when some label is empty or holds a
-character at or below U+0020. These properties compare it, and the
-table-driven `labels_of`, with a naive rendering over label pools built
-around the edge cases: control characters, labels that are prefixes of
-others, labels holding a space, and non-ASCII labels. Universes run past 8
-and 16 items, where the lookup tables change byte.
+Item ids run in descending label order, so `canonical_key` is one int made
+from the mask, falling back to `(cardinality, rendered labels)` when some
+label is empty or holds a character at or below U+0020. These properties
+compare it, and the table-driven `labels_of`, with a naive rendering over
+label pools built around the edge cases: control characters, labels that
+are prefixes of others, labels holding a space, and non-ASCII labels.
+Universes run past 8 and 16 items, where the lookup tables change byte.
 """
 
 from __future__ import annotations

@@ -338,6 +338,20 @@ class TestMonitor:
         assert code == 2
         assert "--max-support" in err
 
+    def test_byte_order_mark_does_not_hide_the_first_event(self, run, tmp_path):
+        # Without the mark dropped, line 1 would read '\ufeff0 p q', a
+        # malformed event, and the p q pattern could not recur in all cycles.
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + self.EVENTS.encode())
+        runs = []
+        for name, events in (("plain", self.write_events(tmp_path)), ("marked", str(marked))):
+            store = tmp_path / f"{name}.jsonl"
+            runs.append((run(*self.monitor_args(events, str(store))), store.read_bytes()))
+        assert runs[0] == runs[1]
+        (code, out, err), _ = runs[1]
+        assert code == 0 and err == ""
+        assert "ALERT window=0 pattern=p q cycles=3" in out.splitlines()
+
 
 class TestMonitorOverCapCycles:
     def test_over_cap_cycle_is_skipped_with_a_count_on_stderr(self, run, tmp_path):
@@ -486,6 +500,17 @@ def test_control_character_labels_keep_joined_string_order(run, tmp_path):
     }
     for argv, text in expected.items():
         assert run(*argv, "--input", str(path)) == (0, text, "")
+
+
+def test_byte_order_mark_is_not_part_of_the_first_item(run, tmp_path):
+    # One leading U+FEFF is dropped before lines are read, so a file saved
+    # with a UTF-8 byte-order mark mines like the same file without it.
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"a b\na b\nb c\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = "c : 1 RARE\na c : 0 NONPRESENT\nb c : 1 RARE\na b c : 0 NONPRESENT\n"
+    for path in (plain, marked):
+        assert run("mine", "--input", str(path), "--max-support", "2") == (0, expected, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,8 +23,9 @@ from rareminer import (
     ItemSet,
     ItemUniverseError,
     TransactionDatabase,
-    combinable,
+    classify_all,
     database_from_transactions,
+    iter_supported,
     parse_database,
 )
 from rareminer.itemsets import canonical_key
@@ -34,7 +35,7 @@ class TestParsing:
     def test_worked_database(self, worked_db):
         assert len(worked_db) == 5
         assert worked_db.width == 5
-        assert worked_db.labels == ("a", "b", "c", "d", "e")
+        assert worked_db.labels == ("e", "d", "c", "b", "a")
         rows = [set(worked_db.labels_of(ItemSet(row, worked_db.width))) for row in worked_db.rows]
         assert rows == [
             {"a", "b", "c", "d"},
@@ -53,7 +54,7 @@ class TestParsing:
         db = parse_database("a a b\n")
         assert len(db) == 1
         assert ItemSet(db.rows[0], db.width).cardinality == 2
-        assert db.labels == ("a", "b")
+        assert db.labels == ("b", "a")
 
     def test_comments_and_blank_lines_skipped(self):
         db = parse_database("# header\n\na b\n   \n# tail\nb c\n")
@@ -65,11 +66,11 @@ class TestParsing:
     def test_hash_must_prefix_the_line(self):
         # tokens are arbitrary non-whitespace, so an indented '#x' is an item
         db = parse_database(" #x y\n")
-        assert db.labels == ("#x", "y")
+        assert db.labels == ("y", "#x")
 
     def test_numeric_fimi_tokens_parse_unchanged(self):
         db = parse_database("1 2 5\n2 5\n")
-        assert db.labels == ("1", "2", "5")
+        assert db.labels == ("5", "2", "1")
         assert db.support(db.itemset_from_labels(["2", "5"])) == 2
 
     def test_item_cap_refused_with_counts(self):
@@ -101,9 +102,11 @@ class TestParsing:
         assert peak < 48_000_000
 
     def test_first_appearance_interning(self):
-        db = parse_database("z y\nx z\n")
+        # Labels first appear as x, z, y; ids still run in descending label order.
+        db = parse_database("x z\ny x\n")
         assert db.labels == ("z", "y", "x")
-        assert db.item_id("z") == 0
+        assert [db.item_id(label) for label in "xyz"] == [2, 1, 0]
+        assert db.rows == (0b101, 0b110)
 
 
 class TestBuilder:
@@ -128,7 +131,7 @@ class TestBuilder:
 
 class TestConstructor:
     def test_rows_are_kept_in_order(self):
-        db = TransactionDatabase(["a", "b", "c"], [0b110, 0b001, 0b110])
+        db = TransactionDatabase(["c", "b", "a"], [0b110, 0b001, 0b110])
         assert db.rows == (0b110, 0b001, 0b110)
         assert len(db) == 3
         assert db.support_of_mask(0b010) == 2
@@ -139,12 +142,17 @@ class TestConstructor:
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            TransactionDatabase(["a", "b"], [0b1, 0])
+            TransactionDatabase(["b", "a"], [0b1, 0])
 
     @pytest.mark.parametrize("row", [0b100, 0b101, 1 << 10])
     def test_row_past_the_width_rejected(self, row):
         with pytest.raises(ValueError, match="within the universe"):
-            TransactionDatabase(["a", "b"], [row])
+            TransactionDatabase(["b", "a"], [row])
+
+    @pytest.mark.parametrize("labels", [["a", "b"], ["a", "c", "b"], ["c", "a", "b"], ["b", "", "c"]])
+    def test_labels_out_of_descending_order_rejected(self, labels):
+        with pytest.raises(ValueError, match="descending order"):
+            TransactionDatabase(labels, [0b1])
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -202,16 +210,6 @@ class TestItemSet:
         assert worked_db.render(acde.intersect(bcde)) == "c d e"
         assert worked_db.render(abcd.intersect(abce)) == "a b c"
         assert acde.intersect(acde) == acde
-
-    def test_combinable_examples(self, worked_db):
-        acde = worked_db.itemset_from_labels("acde")
-        bcde = worked_db.itemset_from_labels("bcde")
-        abcd = worked_db.itemset_from_labels("abcd")
-        ab = worked_db.itemset_from_labels("ab")
-        cde = worked_db.itemset_from_labels("cde")
-        assert combinable(acde, bcde, 3)
-        assert not combinable(abcd, abcd, 3)  # intersection keeps all 4 items
-        assert not combinable(ab, cde, 1)  # unequal cardinalities
 
 
 @settings(deadline=None)
@@ -377,8 +375,9 @@ def test_threads_racing_on_the_first_count_agree(first_use, naive):
     rng = random.Random(20261018)
     rows = [[label for label in CORPUS_LABELS[:8] if rng.random() < 0.5] or ["a"] for _ in range(300)]
     reference = database_from_transactions(rows)
-    # Interning order is not label order, so the label order table is not trivial.
-    assert list(reference.labels) != sorted(reference.labels)
+    # Ids run in descending label order, so every table entry lists its
+    # labels highest id first, and the int key is the complemented mask.
+    assert list(reference.labels) == sorted(reference.labels, reverse=True)
     expected = naive(reference)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -438,6 +437,30 @@ def test_round_trip_worked_database(worked_db):
     ]
 
 
+@st.composite
+def corpus_lines(draw):
+    """Lines of labels drawn from a pool of short labels sharing prefixes."""
+    labels = draw(st.lists(st.text("ab1é!", min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
+    line = st.lists(st.sampled_from(labels), min_size=1, max_size=5)
+    return draw(st.lists(line, min_size=1, max_size=12))
+
+
+@settings(deadline=None, max_examples=100)
+@given(corpus_lines(), st.randoms(use_true_random=False), st.integers(1, 4))
+def test_shuffled_input_gives_the_same_ids_and_orders(lines, rnd, sigma):
+    # Ids run in descending label order, so neither the order of the lines
+    # nor the order of the tokens within a line changes a mask, and every
+    # ascending-mask order is the same.
+    shuffled = [rnd.sample(line, len(line)) for line in rnd.sample(lines, len(lines))]
+    first, second = (
+        parse_database("".join(" ".join(line) + "\n" for line in corpus)) for corpus in (lines, shuffled)
+    )
+    assert first.labels == second.labels
+    assert sorted(first.rows) == sorted(second.rows)
+    assert classify_all(first, sigma) == classify_all(second, sigma)
+    assert list(iter_supported(first, sigma)) == list(iter_supported(second, sigma))
+
+
 class TestLineEnds:
     """A transaction line ends at '\\n' only; one trailing '\\r' is dropped."""
 
@@ -445,11 +468,11 @@ class TestLineEnds:
     def test_form_feed_and_line_separator_stay_in_their_line(self, separator):
         db = parse_database(f"a b{separator}c d\n")
         assert len(db) == 1
-        assert db.labels == ("a", "b", "c", "d")
+        assert db.labels == ("d", "c", "b", "a")
 
     def test_crlf_reads_like_lf(self):
         text = "# header\na b\n\n   \nb c\n"
         crlf = parse_database(text.replace("\n", "\r\n"))
         lf = parse_database(text)
-        assert crlf.labels == lf.labels == ("a", "b", "c")
+        assert crlf.labels == lf.labels == ("c", "b", "a")
         assert crlf.rows == lf.rows

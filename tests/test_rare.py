@@ -167,7 +167,7 @@ class TestCandidateGeneration:
             )
 
     def test_matches_literal_pairwise_intersections(self):
-        # reference: every intersection of a combinable pair, deduplicated
+        # reference: every intersection of two members sharing all but one item, deduplicated
         rng = random.Random(97)
         for _ in range(200):
             width = rng.randint(2, 10)
