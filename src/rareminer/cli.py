@@ -180,48 +180,38 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    # The package logs only the monitor's warnings (a skipped event line or
-    # cycle); print them in the front end's own stderr format. `logging` is
-    # imported here so that the file miners never load it.
-    import logging
-
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("rareminer: warning: %(message)s"))
-    package_log = logging.getLogger("rareminer")
-    package_log.addHandler(handler)
-    try:
-        return _replay_events(args)
-    finally:
-        package_log.removeHandler(handler)
-
-
-def _replay_events(args: argparse.Namespace) -> int:
     for flag, value in (("--max-support", args.max_support),
                         ("--cycles", args.cycles),
                         ("--cycle-duration", args.cycle_duration)):
         if value < 1:
             raise _UsageError(f"{flag} must be at least 1, got {value}")
     parsed = parse_events(_read_text(args.events))
-    if parsed.skipped:
-        print(
-            f"rareminer: warning: skipped {parsed.skipped} malformed event line(s)",
-            file=sys.stderr,
-        )
+    for lineno, line in parsed.malformed:
+        _warn(f"skipping malformed event line {lineno}: {line!r}")
+    if parsed.malformed:
+        _warn(f"skipped {parsed.skipped} malformed event line(s)")
     config = EventWindowConfig(args.max_support, args.cycles, args.cycle_duration, args.store)
     reports = replay(
         parsed.events,
         config,
         alert_sink=lambda alert: sys.stdout.write(format_alert_line(alert) + "\n"),
     )
-    skipped_cycles = sum(report.skipped_cycles for report in reports)
+    skipped_cycles = [
+        (report.window_start, cycle, n_items)
+        for report in reports
+        for cycle, n_items in report.skipped_cycles
+    ]
+    for window_start, cycle, n_items in skipped_cycles:
+        _warn(f"skipping cycle {cycle} of the window at {window_start} ms: "
+              f"{ItemUniverseError(n_items, DEFAULT_ITEM_CAP)}")
     if skipped_cycles:
-        print(
-            f"rareminer: warning: skipped {skipped_cycles} cycle(s) with more than "
-            f"{DEFAULT_ITEM_CAP} distinct items",
-            file=sys.stderr,
-        )
+        _warn(f"skipped {len(skipped_cycles)} cycle(s) with more than "
+              f"{DEFAULT_ITEM_CAP} distinct items")
     return EXIT_OK
+
+
+def _warn(message: str) -> None:
+    print(f"rareminer: warning: {message}", file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

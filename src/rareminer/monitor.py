@@ -8,8 +8,10 @@ item-sets that never occurred are ignored, because an absent combination is
 not an observed behaviour and would otherwise alert on every window.
 Each cycle that holds events is mined rare-only, which walks just the
 item-sets present in it. A cycle holding more distinct items than
-`DEFAULT_ITEM_CAP` is skipped with a logged warning and counted in its
-window's report; the replay goes on.
+`DEFAULT_ITEM_CAP` is skipped and recorded in its window's report
+(`WindowReport.skipped_cycles`); the replay goes on. Malformed event lines
+are likewise returned (`ParsedEvents.malformed`), not printed: the package
+writes nothing to stderr, and a front end decides how to report skips.
 
 Replay mode is fully deterministic: the same event file and configuration
 produce identical alerts and identical store bytes.
@@ -96,19 +98,29 @@ class Alert:
 
 @dataclass(frozen=True)
 class WindowReport:
-    """One window's outcome; `skipped_cycles` counts cycles over the item cap."""
+    """One window's outcome.
+
+    `skipped_cycles` holds `(cycle, distinct items)`, in cycle order, for
+    each cycle over the item cap; such a cycle is not mined.
+    """
 
     window_start: int
     events_processed: int
     recurrences: tuple[PatternRecurrence, ...]
     alerts: tuple[Alert, ...]
-    skipped_cycles: int = 0
+    skipped_cycles: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class ParsedEvents:
+    """Parsed events, and `(line number, line)` for each malformed line."""
+
     events: tuple[Event, ...]
-    skipped: int
+    malformed: tuple[tuple[int, str], ...]
+
+    @property
+    def skipped(self) -> int:
+        return len(self.malformed)
 
 
 def parse_events(text: str) -> ParsedEvents:
@@ -116,20 +128,19 @@ def parse_events(text: str) -> ParsedEvents:
 
     Lines are read by `content_lines`, so blank and '#'-prefixed lines are
     skipped silently. Malformed lines (a timestamp that is not all ASCII
-    decimal digits, no items) are skipped with a counted warning and never
-    abort the replay. Duplicate items within a line collapse, keeping
-    first-seen order. Timestamps must be non-decreasing; a violation raises
+    decimal digits, no items) are skipped, returned in `malformed` with
+    their 1-based line numbers, and never abort the replay. Duplicate items
+    within a line collapse, keeping first-seen order. Timestamps must be non-decreasing; a violation raises
     ReplayOrderError.
     """
     events: list[Event] = []
-    skipped = 0
+    malformed: list[tuple[int, str]] = []
     last_timestamp: Optional[int] = None
     for index, line in content_lines(text):
         lineno = index + 1
         tokens = line.split()
         if not (tokens[0].isascii() and tokens[0].isdigit()) or len(tokens) < 2:
-            skipped += 1
-            _warn("skipping malformed event line %d: %r", lineno, line)
+            malformed.append((lineno, line))
             continue
         timestamp = int(tokens[0])
         if last_timestamp is not None and timestamp < last_timestamp:
@@ -139,7 +150,7 @@ def parse_events(text: str) -> ParsedEvents:
             )
         last_timestamp = timestamp
         events.append(Event(timestamp, tuple(dict.fromkeys(tokens[1:]))))
-    return ParsedEvents(tuple(events), skipped)
+    return ParsedEvents(tuple(events), tuple(malformed))
 
 
 def run_window(
@@ -155,12 +166,13 @@ def run_window(
     (the first event's timestamp when omitted); every event belongs to
     exactly one cycle. Each cycle that holds events is mined independently
     at the window's threshold (an empty one would find nothing); a cycle
-    with more distinct items than the default item cap is skipped with a
-    warning and counted in the report, and finds nothing, so that window
-    cannot alert. After the last cycle, every pattern found rare in at
-    least `cycles` cycles (that is, in all of them) is reported once
-    through `alert_sink`; then the recurrence table is appended to the
-    store and discarded.
+    with more distinct items than the default item cap is skipped and
+    recorded in the report's `skipped_cycles`, and finds nothing, so that
+    window cannot alert. After the last cycle, the recurrence table is
+    appended to the store; only then is every pattern found rare in at
+    least `cycles` cycles (that is, in all of them) reported once through
+    `alert_sink`, so no alert is reported for a window whose records were
+    not stored.
     """
     events = list(events)
     if window_start is None:
@@ -177,13 +189,12 @@ def run_window(
         buckets.setdefault(cycle, []).append(event)
 
     supports_by_pattern: dict[tuple[str, ...], dict[int, int]] = {}
-    skipped_cycles = 0
+    skipped_cycles: list[tuple[int, int]] = []
     for cycle, bucket in sorted(buckets.items()):
         try:
             db = database_from_transactions(event.items for event in bucket)
         except ItemUniverseError as exc:
-            skipped_cycles += 1
-            _warn("skipping cycle %d of the window at %d ms: %s", cycle, window_start, exc)
+            skipped_cycles.append((cycle, exc.n_items))
             continue
         for found in mine_rare(db, MiningConfig(config.sigma, emit=EMIT_RARE)):
             labels = db.labels_of(found.itemset)
@@ -206,12 +217,12 @@ def run_window(
             )
 
     report = WindowReport(
-        window_start, len(events), tuple(recurrences), tuple(alerts), skipped_cycles
+        window_start, len(events), tuple(recurrences), tuple(alerts), tuple(skipped_cycles)
     )
+    persist_window(report, config.store_path)
     if alert_sink is not None:
         for alert in report.alerts:
             alert_sink(alert)
-    persist_window(report, config.store_path)
     return report
 
 
@@ -273,14 +284,6 @@ def replay(
         )
         start_index = end_index
     return reports
-
-
-def _warn(message: str, *args: object) -> None:
-    """Log a warning on this module's logger; `logging` is imported only here,
-    so front ends that never warn never load it."""
-    import logging
-
-    logging.getLogger(__name__).warning(message, *args)
 
 
 def format_alert_line(alert: Alert) -> str:

@@ -291,6 +291,15 @@ class TestMonitor:
         assert code == 1
         assert err
 
+    def test_unwritable_store_prints_no_alert(self, run, tmp_path):
+        # The window would alert on p q, but its records cannot be stored.
+        events = self.write_events(tmp_path, "0 p q\n1000 p q\n2000 p q\n")
+        store = str(tmp_path / "missing" / "s.jsonl")
+        code, out, err = run(*self.monitor_args(events, store))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rareminer: error: ")
+
     def test_non_monotone_events_are_usage_error(self, run, tmp_path):
         events = self.write_events(tmp_path, "900 x\n100 y\n")
         store = str(tmp_path / "store.jsonl")
@@ -375,6 +384,46 @@ class TestMonitorOverCapCycles:
         ]
         starts = [json.loads(line)["window_start"] for line in store.read_text().splitlines()]
         assert starts == [0, 2000]
+
+    # A malformed line, then a cycle over the cap in the window at 1000 ms.
+    MIXED = "junk\n0 a\n1000 " + " ".join(f"w{i}" for i in range(25)) + "\n2000 a\n"
+    MIXED_STDERR = [
+        "rareminer: warning: skipping malformed event line 1: 'junk'",
+        "rareminer: warning: skipped 1 malformed event line(s)",
+        "rareminer: warning: skipping cycle 0 of the window at 1000 ms: "
+        "item universe has 25 distinct items, exceeding the cap of 24",
+        "rareminer: warning: skipped 1 cycle(s) with more than 24 distinct items",
+    ]
+
+    def mixed_args(self, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text(self.MIXED)
+        return [
+            "monitor", "--events", str(events), "--max-support", "2",
+            "--cycles", "1", "--cycle-duration", "1000", "--store", str(tmp_path / "s.jsonl"),
+        ]
+
+    def test_line_warnings_and_total_then_cycle_warnings_and_total(self, run, tmp_path):
+        code, out, err = run(*self.mixed_args(tmp_path))
+        assert code == 0
+        assert out.splitlines() == [
+            "ALERT window=0 pattern=a cycles=1",
+            "ALERT window=2000 pattern=a cycles=1",
+        ]
+        assert err.splitlines() == self.MIXED_STDERR
+
+    def test_warnings_do_not_load_logging(self, tmp_path):
+        # Run in a fresh interpreter: pytest itself imports logging, and its
+        # log handlers would keep a logged warning off stderr.
+        src = str(Path(rareminer.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from rareminer.cli import main; "
+            f"code = main({self.mixed_args(tmp_path)!r}); "
+            "print(code, 'logging' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stderr.splitlines() == self.MIXED_STDERR
 
 
 class TestOutputSymlink:
@@ -469,8 +518,9 @@ def test_non_utf8_input_is_usage_error(tmp_path, argv):
 
 
 def test_importing_the_cli_loads_neither_json_nor_logging():
-    # Only the monitor writes JSON or logs; `mine`, `frequent` and `classify`
-    # should not pay for importing either. -S keeps site-packages hooks out.
+    # Only the monitor writes JSON, and nothing logs; `mine`, `frequent` and
+    # `classify` should not pay for importing either. -S keeps site-packages
+    # hooks out.
     src = str(Path(rareminer.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import rareminer.cli; "

@@ -265,6 +265,13 @@ class TestPersistence:
         with pytest.raises(OSError):
             run_window(events_of(ALERTING_STREAM), cfg)
 
+    def test_unwritable_store_fails_before_any_alert_is_reported(self, tmp_path):
+        cfg = EventWindowConfig(2, 3, 1000, tmp_path / "missing" / "store.jsonl")
+        reported = []
+        with pytest.raises(OSError):
+            run_window(events_of(ALERTING_STREAM), cfg, reported.append)
+        assert reported == []
+
 
 class TestReplay:
     def test_deterministic_across_runs(self, tmp_path):
@@ -302,25 +309,42 @@ class TestOverCapCycles:
 
     WIDE = " ".join(f"w{i}" for i in range(25))
 
-    def test_over_cap_cycle_is_skipped_and_later_windows_run(self, tmp_path, caplog):
+    def test_over_cap_cycle_is_skipped_and_later_windows_run(self, tmp_path):
         cfg = config(tmp_path, cycles=2, duration=100)
         text = f"0 a\n1 b\n100 a\n1000 {self.WIDE}\n1100 a\n2000 a\n2100 a\n"
-        with caplog.at_level("WARNING", logger="rareminer.monitor"):
-            reports = replay(events_of(text), cfg)
+        reports = replay(events_of(text), cfg)
         assert [r.window_start for r in reports] == [0, 1000, 2000]
-        assert [r.skipped_cycles for r in reports] == [0, 1, 0]
+        # Cycle 0 of the window at 1000 ms holds 25 distinct items.
+        assert [r.skipped_cycles for r in reports] == [(), ((0, 25),), ()]
         # The skipped cycle finds nothing, so its window cannot alert.
         assert reports[1].alerts == ()
         assert {r.labels for r in reports[1].recurrences} == {("a",)}
         assert {a.labels for a in reports[2].alerts} == {("a",)}
-        assert any(
-            "cycle 0 of the window at 1000 ms" in message and "25 distinct items" in message
-            for message in caplog.messages
-        )
 
     def test_at_the_cap_nothing_is_skipped(self, tmp_path):
         # sigma 1: the full item-set of the cycle is frequent, so mining it is one count.
         at_cap = " ".join(f"w{i}" for i in range(24))
         report = run_window(events_of(f"0 {at_cap}\n"), config(tmp_path, sigma=1, cycles=1))
-        assert report.skipped_cycles == 0
+        assert report.skipped_cycles == ()
         assert report.recurrences == ()
+
+
+class TestSkipsAreReturnedNotPrinted:
+    """The library returns what it skipped and writes nothing to stderr."""
+
+    def test_parse_events_returns_each_malformed_line(self, capfd):
+        parsed = parse_events("junk\n0 a b\n+5 c\n")
+        assert parsed.events == (Event(0, ("a", "b")),)
+        assert parsed.malformed == ((1, "junk"), (3, "+5 c"))
+        assert parsed.skipped == 2
+        assert capfd.readouterr() == ("", "")
+
+    def test_replay_returns_each_over_cap_cycle(self, tmp_path, capfd):
+        wide = " ".join(f"w{i}" for i in range(25))
+        cfg = config(tmp_path, cycles=2, duration=100)
+        reports = replay(events_of(f"0 a\n100 {wide}\n200 a\n300 {wide} x\n"), cfg)
+        assert [(r.window_start, r.skipped_cycles) for r in reports] == [
+            (0, ((1, 25),)),
+            (200, ((1, 26),)),
+        ]
+        assert capfd.readouterr() == ("", "")
