@@ -61,14 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"item-universe cap (default {DEFAULT_ITEM_CAP})")
     files.add_argument("--output", help="write results here atomically instead of standard output")
 
-    mine = sub.add_parser("mine", parents=[files], help="mine rare and non-present item-sets")
+    mine = sub.add_parser("mine", parents=[files], help="mine rare and non-present item-sets",
+                          description="Mine rare and non-present item-sets from the full item-set down; "
+                          "each level counts the item-sets whose every one-item extension the level above kept.")
     mine.add_argument("--max-support", type=int, required=True, metavar="N",
                       help="exclusive upper support bound, in transactions")
     mine.add_argument("--emit", choices=EMIT_CHOICES, default=EMIT_BOTH,
                       help="which classes to report (default: both)")
-    mine.add_argument("--no-prune", action="store_true",
-                      help="disable candidate pruning for --emit both/nonpresent "
-                           "(output is unchanged, only slower)")
     mine.set_defaults(func=_cmd_mine)
 
     frequent = sub.add_parser("frequent", parents=[files], help="mine frequent item-sets (classical baseline)")
@@ -161,11 +160,8 @@ def _mine_file(
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    def mine(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
-        config = MiningConfig(sigma, pruning_enabled=not args.no_prune, emit=args.emit)
-        return mine_rare(db, config)
-
-    return _mine_file(args, "--max-support", args.max_support, mine)
+    return _mine_file(args, "--max-support", args.max_support,
+                      lambda db, sigma: mine_rare(db, MiningConfig(sigma, emit=args.emit)))
 
 
 def _cmd_frequent(args: argparse.Namespace) -> int:

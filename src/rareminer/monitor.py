@@ -232,6 +232,7 @@ def persist_window(report: WindowReport, store_path: Union[str, Path]) -> None:
     One line per record, canonical order, compact separators, so a replayed
     window always appends identical bytes. The store is opened even when
     there is nothing to write, so an unwritable path always fails the window.
+    A write that fails partway is cut back off, so no record is left torn.
     """
     import json
 
@@ -249,8 +250,16 @@ def persist_window(report: WindowReport, store_path: Union[str, Path]) -> None:
         + "\n"
         for rec in report.recurrences
     )
-    with open(store_path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    # Unbuffered: a buffered writer would flush what it holds at close, after the cut.
+    with open(store_path, "ab", buffering=0) as fh:
+        start = fh.tell()
+        try:
+            view = memoryview(text.encode("utf-8"))
+            while view:
+                view = view[fh.write(view):]
+        except BaseException:
+            fh.truncate(start)
+            raise
 
 
 def replay(

@@ -4,10 +4,10 @@ The miner walks the item-set lattice from the single largest item-set (all
 interned items) down to single items, one cardinality level at a time.
 Adding items to an item-set can only shrink its support, so every superset
 of a low-support item-set also has low support: the descent reaches every
-rare and every non-present item-set. In the other direction, every subset
-of a frequent item-set is frequent, which lets the miner drop candidates
-lying below a known frequent item-set without counting them. The number of
-rare plus non-present item-sets can approach 2^|I|, and so can this walk.
+rare and every non-present item-set. So a k-item-set can lie below sigma
+only when all of its (k+1)-item supersets do: each level counts only those,
+and nothing is pruned after generation. The number of rare plus
+non-present item-sets can approach 2^|I|, and so can this walk.
 
 Rare-only mining (`emit=rare`) walks top-down over the present item-sets
 only: every rare item-set is a transaction or a one-item reduction of a
@@ -51,11 +51,9 @@ class MiningConfig:
     |D| + 1 (no support can reach them), which keeps mining legal on
     arbitrarily small buckets such as empty monitoring cycles; front ends
     that want the strict `sigma <= |D| + 1` contract enforce it themselves.
-    Pruning can be switched off for `both` and `nonpresent` only; disabling
-    it never changes the output, only the work done. The `rare` walk has no
-    pruning to switch: it counts only transactions and one-item reductions
-    of rare item-sets. The `nonpresent` walk runs at sigma 1 whatever
-    `sigma` is: support 0 is non-present at every sigma.
+    The `nonpresent` walk runs at sigma 1 whatever `sigma` is: support 0 is
+    non-present at every sigma. `pruning_enabled` has no effect: no walk
+    generates a candidate that a prune step could drop.
     """
 
     sigma: int
@@ -75,9 +73,9 @@ class LevelState:
 
     `interesting` holds the level's rare and non-present item-sets (all of
     cardinality `k`, support below sigma); `frequent_record` the candidates
-    of the same cardinality that turned out frequent, which drive pruning
-    one level further down. The two are disjoint and together are exactly
-    the candidates tested at this level.
+    of the same cardinality that turned out frequent. The two are disjoint
+    and together are exactly the candidates tested at this level. The next
+    level down is generated from `interesting` alone.
     """
 
     k: int
@@ -86,11 +84,11 @@ class LevelState:
 
 
 def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
-    """All pairwise intersections of level members that share all but one item.
+    """The k-item-sets all of whose (k+1)-item supersets are level members.
 
     Members must have one common width and one common cardinality k+1; the
-    result is the deduplicated set of those k-item intersections, in
-    ascending mask order.
+    result holds each such k-item-set once, in ascending mask order. A lone
+    full item-set yields all of its one-item reductions.
     """
     members = list(level)
     if not members:
@@ -99,23 +97,26 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
     if len({m.width for m in members}) > 1:
         raise ValueError("mixed item-set widths in one level")
     masks = {m.mask for m in members}
-    if len({mask.bit_count() for mask in masks}) > 1:
+    cardinalities = {mask.bit_count() for mask in masks}
+    if len(cardinalities) > 1:
         raise ValueError("mixed cardinalities in one level")
-    # The intersection of two distinct (k+1)-sets has k items exactly when
-    # both are one-item extensions of the same k-set, so a k-set is a
-    # candidate iff at least two of its (k+1)-supersets sit in the level.
-    # Counting parents per child is linear in the level size where the
-    # literal pairwise intersection is quadratic; the output is identical.
-    # One list of every member's one-item reductions, counted by Counter in C.
+    # A k-item-set has width - k supersets of k+1 items, so it is a candidate
+    # iff the members' one-item reductions, counted by Counter in C, name it
+    # that many times.
+    supersets = width - (cardinalities.pop() - 1)
     bits = [1 << i for i in range(width)]
     parents = Counter([mask ^ bit for bit in bits for mask in masks if mask & bit])
-    return [ItemSet(mask, width) for mask in sorted([c for c, n in parents.items() if n >= 2])]
+    return [ItemSet(mask, width) for mask in sorted([c for c, n in parents.items() if n == supersets])]
 
 
 def prune_candidates(
     candidates: Iterable[ItemSet], frequent_record: Collection[ItemSet]
 ) -> list[ItemSet]:
-    """Drop every candidate that is a subset of a frequent item-set one level up."""
+    """Drop every candidate that is a subset of a frequent item-set one level up.
+
+    No walk calls this: `generate_candidates` output never holds a child of
+    the level's frequent record, so this returns it unchanged.
+    """
     # Candidates are one item smaller than the record's members, so "subset
     # of a frequent item-set" reduces to "one-bit child of one".
     doomed = {child for f in frequent_record for child in iter_child_masks(f.mask)}
@@ -128,8 +129,7 @@ def evaluate_candidates(
     """Count each candidate's exact support and split the level's outcome.
 
     Candidates with support below sigma come back classified (zero support is
-    non-present, the rest rare); the others form the frequent record used to
-    prune the next level down.
+    non-present, the rest rare); the others form the level's frequent record.
     """
     kept: list[MinedItemSet] = []
     frequent: list[ItemSet] = []
@@ -147,26 +147,18 @@ def evaluate_candidates(
 def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[LevelState]:
     """Walk the lattice largest cardinality first, yielding each tested level.
 
-    Starts with the full item-set, then all of its one-item reductions, then
-    repeatedly intersects the previous level's survivors, pruning candidates
-    below recorded frequent item-sets. Stops after single items, or as soon
-    as a level has no survivors. The empty set is never a candidate.
+    Starts with the full item-set; each later level counts the item-sets one
+    item smaller whose every one-item extension the previous level kept.
+    Stops after single items, or as soon as a level keeps nothing. The empty
+    set is never a candidate.
     """
-    width = db.width
-    full = ItemSet.full(width)
-    candidates = [full]
-    for k in range(width, 0, -1):
+    candidates = [ItemSet.full(db.width)]
+    for k in range(db.width, 0, -1):
         kept, frequent = evaluate_candidates(candidates, db, config.sigma)
         yield LevelState(k, tuple(kept), tuple(frequent))
         if not kept:
             return
-        if k == width:
-            # Seed level |I|-1 with every one-item reduction of the full item-set.
-            candidates = [ItemSet(mask, width) for mask in sorted(iter_child_masks(full.mask))]
-        else:
-            candidates = generate_candidates([m.itemset for m in kept])
-            if config.pruning_enabled:
-                candidates = prune_candidates(candidates, frequent)
+        candidates = generate_candidates([m.itemset for m in kept])
 
 
 def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSet]:

@@ -125,12 +125,15 @@ class TestMine:
         )
         assert code == 0
 
-    def test_no_prune_is_byte_identical(self, run, db_file):
-        _, pruned, _ = run("mine", "--input", db_file, "--max-support", "3")
-        _, unpruned, _ = run(
-            "mine", "--input", db_file, "--max-support", "3", "--no-prune"
-        )
-        assert pruned == unpruned
+    def test_no_prune_is_a_usage_error(self, run, db_file, capsys):
+        # The walk generates nothing a prune step could drop, so there is
+        # no pruning left to switch off.
+        with pytest.raises(SystemExit) as exc:
+            run("mine", "--input", db_file, "--max-support", "3", "--no-prune")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--no-prune" in captured.err
 
     def test_output_file_matches_stdout(self, run, db_file, tmp_path):
         target = tmp_path / "out.txt"

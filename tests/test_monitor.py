@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +268,32 @@ class TestPersistence:
         cfg = EventWindowConfig(2, 3, 1000, tmp_path / "missing" / "store.jsonl")
         with pytest.raises(OSError):
             run_window(events_of(ALERTING_STREAM), cfg)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs POSIX file-size limits")
+    def test_a_write_that_fails_partway_leaves_the_store_as_it_was(self, tmp_path):
+        # A fresh interpreter caps its own file size 100 bytes past the store's
+        # end, so the window's 214 bytes of records fail with EFBIG partway.
+        events = tmp_path / "events.txt"
+        events.write_text(ALERTING_STREAM)
+        store = tmp_path / "store.jsonl"
+        run_window(events_of(ALERTING_STREAM), EventWindowConfig(2, 3, 1000, store))
+        before = store.read_bytes()
+        src = str(Path(monitor.__file__).parents[1])
+        code = (
+            f"import os, resource, signal, sys; sys.path.insert(0, {src!r}); "
+            "from rareminer.cli import main; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(sys.argv[2]) + 100, hard)); "
+            "sys.exit(main(['monitor', '--events', sys.argv[1], '--max-support', '2', "
+            "'--cycles', '3', '--cycle-duration', '1000', '--store', sys.argv[2]]))"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-B", "-c", code, str(events), str(store)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "File too large" in proc.stderr
+        assert store.read_bytes() == before
 
     def test_unwritable_store_fails_before_any_alert_is_reported(self, tmp_path):
         cfg = EventWindowConfig(2, 3, 1000, tmp_path / "missing" / "store.jsonl")

@@ -3,9 +3,13 @@ worked example and the exhaustive classifier."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from collections import Counter
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -102,27 +106,29 @@ class TestLevelWalk:
         assert len(levels[3].interesting) == 9
 
     def test_level_2_prunes_below_the_frequent_triple(self, worked_db):
+        # a b, a c and b c lie below the frequent a b c, so level 3 did not
+        # keep all of their supersets and they are never generated.
         levels = {lv.k: lv for lv in iter_levels(worked_db, MiningConfig(SIGMA))}
         candidates = generate_candidates([m.itemset for m in levels[3].interesting])
         rendered = {worked_db.render(c) for c in candidates}
-        assert {"a b", "a c", "b c"} <= rendered
-        pruned = prune_candidates(candidates, levels[3].frequent_record)
-        survivors = {worked_db.render(c) for c in pruned}
-        assert survivors == {"a d", "a e", "b d", "b e", "c d", "c e", "d e"}
-        assert {worked_db.render(m.itemset) for m in levels[2].interesting} == survivors
+        assert rendered == {"a d", "a e", "b d", "b e", "c d", "c e", "d e"}
+        assert prune_candidates(candidates, levels[3].frequent_record) == candidates
+        assert levels[2].frequent_record == ()
+        assert {worked_db.render(m.itemset) for m in levels[2].interesting} == rendered
 
     def test_level_1_keeps_d_as_candidate_and_rejects_it_by_support(self, worked_db):
+        # a, b and c each lie below a pair of the frequent a b c, which level 2
+        # never counted; d and e have all four of their pairs kept.
         levels = {lv.k: lv for lv in iter_levels(worked_db, MiningConfig(SIGMA))}
         candidates = generate_candidates([m.itemset for m in levels[2].interesting])
-        pruned = prune_candidates(candidates, levels[2].frequent_record)
-        assert {worked_db.render(c) for c in pruned} == {"a", "b", "c", "d", "e"}
+        assert [worked_db.render(c) for c in candidates] == ["e", "d"]
         assert [worked_db.render(m.itemset) for m in levels[1].interesting] == ["e"]
         assert levels[1].interesting[0].support == 2
         frequent = {
             worked_db.render(f): worked_db.support(f)
             for f in levels[1].frequent_record
         }
-        assert frequent == {"a": 3, "b": 4, "c": 4, "d": 3}
+        assert frequent == {"d": 3}
 
 
 class TestCandidateGeneration:
@@ -138,10 +144,11 @@ class TestCandidateGeneration:
         assert got == expected
 
     def test_pair_with_shared_two_items(self, worked_db):
-        cde = worked_db.itemset_from_labels("cde")
-        bde = worked_db.itemset_from_labels("bde")
-        got = generate_candidates([cde, bde])
+        cde, bde, ade = (worked_db.itemset_from_labels(t) for t in ("cde", "bde", "ade"))
+        got = generate_candidates([ade, bde, cde])
         assert [worked_db.render(c) for c in got] == ["d e"]
+        # With a d e missing, d e lacks a kept superset: nothing is generated.
+        assert generate_candidates([cde, bde]) == []
 
     def test_singleton_input_has_no_pairs(self, worked_db):
         assert generate_candidates([worked_db.itemset_from_labels("abc")]) == []
@@ -166,21 +173,24 @@ class TestCandidateGeneration:
                 ]
             )
 
-    def test_matches_literal_pairwise_intersections(self):
-        # reference: every intersection of two members sharing all but one item, deduplicated
+    def test_matches_every_superset_is_a_member(self):
+        # reference: every k-set, by brute force, whose every (k+1)-superset is a member
         rng = random.Random(97)
-        for _ in range(200):
+        for _ in range(300):
             width = rng.randint(2, 10)
             k1 = rng.randint(1, width)
             pool = [m for m in range(1 << width) if bin(m).count("1") == k1]
-            level = rng.sample(pool, min(len(pool), rng.randint(1, 12)))
-            reference = set()
-            for a, b in combinations(level, 2):
-                inter = a & b
-                if bin(inter).count("1") == k1 - 1:
-                    reference.add(inter)
+            # Small levels rarely cover every superset of anything; near-full ones do.
+            size = rng.choice([rng.randint(1, 12), len(pool) - rng.randint(0, 3)])
+            level = set(rng.sample(pool, max(1, min(len(pool), size))))
+            reference = [
+                child
+                for child in range(1 << width)
+                if bin(child).count("1") == k1 - 1
+                and all(child | 1 << i in level for i in range(width) if not child >> i & 1)
+            ]
             got = [c.mask for c in generate_candidates([ItemSet(m, width) for m in level])]
-            assert got == sorted(reference)
+            assert got == reference
 
 
 class TestPruning:
@@ -481,6 +491,104 @@ class TestNonpresentWalk:
         counted = counting(db)
         mine_rare(db, config)
         assert len(counted) <= top_down
+
+
+def parent_walk_counts(db, sigma, pruning):
+    """{k: candidates counted} of the walk the every-superset rule replaced.
+
+    It counted the full item-set, then all its one-item reductions, then
+    every k-set with at least two kept (k+1)-supersets, less (when pruning)
+    the one-item reductions of the level's frequent record.
+    """
+    width = db.width
+    full = (1 << width) - 1
+    candidates = [full]
+    counts = {}
+    for k in range(width, 0, -1):
+        counts[k] = len(candidates)
+        kept = [m for m in candidates if db.support_of_mask(m) < sigma]
+        frequent = [m for m in candidates if db.support_of_mask(m) >= sigma]
+        if not kept:
+            break
+        if k == width:
+            candidates = [full ^ 1 << i for i in range(width)]
+            continue
+        parents = Counter(m ^ 1 << i for m in kept for i in range(width) if m >> i & 1)
+        candidates = [c for c, n in parents.items() if n >= 2]
+        if pruning:
+            doomed = {f ^ 1 << i for f in frequent for i in range(width) if f >> i & 1}
+            candidates = [c for c in candidates if c not in doomed]
+    return counts
+
+
+def bench_dense_corpus(seed):
+    """The text of the benchmark's dense corpus (14 items x 400 rows) at `seed`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.dense_corpus(seed).text
+
+
+class TestEverySupersetRule:
+    """Each level of the top-down walk counts exactly the k-sets whose every
+    (k+1)-superset the level above kept, so nothing is pruned after
+    generation and no level counts more than the pairwise walk it replaced."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_counts_a_k_set_iff_every_superset_was_kept(self, case):
+        db, sigma, _ = case
+        levels = list(iter_levels(db, MiningConfig(sigma)))
+        full = (1 << db.width) - 1
+        counted = [{m.itemset.mask for m in lv.interesting} | {f.mask for f in lv.frequent_record}
+                   for lv in levels]
+        assert counted[0] == {full}
+        for depth in range(1, len(levels)):
+            assert levels[depth].k == levels[depth - 1].k - 1
+            kept = {m.itemset.mask for m in levels[depth - 1].interesting}
+            expected = {
+                child
+                for child in range(1, full + 1)
+                if child.bit_count() == levels[depth].k
+                and all(child | 1 << i in kept for i in range(db.width) if not child >> i & 1)
+            }
+            assert counted[depth] == expected
+        assert levels[-1].k == 1 or not levels[-1].interesting
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_no_level_counts_more_than_the_pairwise_walk(self, case):
+        db, sigma, pruning = case
+        parent = parent_walk_counts(db, sigma, pruning)
+        levels = list(iter_levels(db, MiningConfig(sigma)))
+        assert [lv.k for lv in levels] == list(parent)
+        for level in levels:
+            assert len(level.interesting) + len(level.frequent_record) <= parent[level.k]
+
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_pruning_the_generated_level_removes_nothing(self, case):
+        # The benchmark's tracer rebuilds each level this way and checks it
+        # against what the walk counted.
+        db, sigma, _ = case
+        for level in iter_levels(db, MiningConfig(sigma)):
+            candidates = generate_candidates([m.itemset for m in level.interesting])
+            assert prune_candidates(candidates, level.frequent_record) == candidates
+
+    def test_dense_bench_corpus_counts(self):
+        db = parse_database(bench_dense_corpus(1))
+        counted = counting(db)
+        mine_rare(db, MiningConfig(8, emit="nonpresent"))
+        assert len(counted) == 2411
+        counted.clear()
+        mine_rare(db, MiningConfig(8))
+        assert len(counted) == 13463
 
 
 def counting(db):
