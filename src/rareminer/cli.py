@@ -211,6 +211,10 @@ def _warn(message: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Stdout carries the bytes `--output` gets, UTF-8 with LF, whatever the
+    # locale; a stream with no `reconfigure`, such as a StringIO, takes str.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

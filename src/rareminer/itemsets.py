@@ -74,14 +74,14 @@ class MinedItemSet:
     classification: Classification
 
 
-def _require_same_width(a: "ItemSet", b: "ItemSet") -> None:
-    if a.width != b.width:
-        raise ValueError(f"item-set widths differ: {a.width} != {b.width}")
-
-
 @dataclass(frozen=True, slots=True)
 class ItemSet:
-    """Fixed-width bit-vector item-set; bit i is set iff item i is a member."""
+    """Fixed-width bit-vector item-set; bit i is set iff item i is a member.
+
+    A thin, width-checked shell over its mask: set operations are mask
+    operations (`a.mask & b.mask` intersects, `a.mask & ~b.mask == 0` tests
+    a subset), and `ItemSet(0, width)` is the empty item-set.
+    """
 
     mask: int
     width: int
@@ -91,10 +91,6 @@ class ItemSet:
             raise ValueError(f"negative item-set width {self.width}")
         if not 0 <= self.mask < (1 << self.width):
             raise ValueError(f"mask {self.mask:#x} out of range for width {self.width}")
-
-    @classmethod
-    def empty(cls, width: int) -> "ItemSet":
-        return cls(0, width)
 
     @classmethod
     def full(cls, width: int) -> "ItemSet":
@@ -116,14 +112,6 @@ class ItemSet:
     def item_ids(self) -> tuple[int, ...]:
         """Member item ids, ascending."""
         return tuple(i for i in range(self.width) if self.mask >> i & 1)
-
-    def is_subset_of(self, other: "ItemSet") -> bool:
-        _require_same_width(self, other)
-        return self.mask & ~other.mask == 0
-
-    def intersect(self, other: "ItemSet") -> "ItemSet":
-        _require_same_width(self, other)
-        return ItemSet(self.mask & other.mask, self.width)
 
 
 def iter_child_masks(mask: int) -> Iterator[int]:
@@ -193,9 +181,6 @@ class TransactionDatabase:
 
     def itemset_from_labels(self, labels: Iterable[str]) -> ItemSet:
         return ItemSet.from_ids((self.item_id(label) for label in labels), self.width)
-
-    def full_itemset(self) -> ItemSet:
-        return ItemSet.full(self.width)
 
     def labels_of(self, itemset: ItemSet) -> tuple[str, ...]:
         """Member labels, sorted lexicographically: highest id first."""

@@ -192,15 +192,18 @@ def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet
     to r. A frequent candidate is counted and not kept. Every counted
     item-set is present, and at most |distinct transactions| + sum of |r|
     over the rare results are counted, whatever the width of the universe.
+    Each level is a {mask: support} dict of its rare item-sets, and an
+    `ItemSet` is built only for a result, once the walk is done.
     """
-    width = db.width
+    count = db.support_of_mask
     by_size: dict[int, set[int]] = {}
     for row in db.rows:
         by_size.setdefault(row.bit_count(), set()).add(row)
-    rare: list[MinedItemSet] = []
-    kept: list[MinedItemSet] = []
+    rare: dict[int, int] = {}
+    kept: dict[int, int] = {}
     for k in range(max(by_size, default=0), 0, -1):
-        masks = by_size.get(k, set()).union(*(iter_child_masks(r.itemset.mask) for r in kept))
-        kept, _ = evaluate_candidates((ItemSet(m, width) for m in masks), db, sigma)
-        rare += kept
-    return rare
+        masks = by_size.get(k, set()).union(*map(iter_child_masks, kept))
+        kept = {m: s for m in masks if (s := count(m)) < sigma}
+        rare.update(kept)
+    width = db.width
+    return [MinedItemSet(ItemSet(m, width), s, Classification.RARE) for m, s in rare.items()]

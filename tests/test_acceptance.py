@@ -19,6 +19,7 @@ from conftest import (
 from rareminer import (
     Classification,
     EventWindowConfig,
+    ItemSet,
     MiningConfig,
     classify_all,
     database_from_transactions,
@@ -88,7 +89,7 @@ def test_criterion_1_worked_database_regression():
         assert frequent == by_class["FREQUENT"]
 
         # narrative checkpoints
-        assert db.support(db.full_itemset()) == 0
+        assert db.support(ItemSet.full(db.width)) == 0
         levels = {lv.k: lv for lv in iter_levels(db, MiningConfig(3))}
         assert [db.render(f) for f in levels[3].frequent_record] == ["a b c"]
         # a b, a c and b c lie below the frequent a b c, so they are never

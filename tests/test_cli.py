@@ -634,3 +634,35 @@ class TestMonitorReplayIsAllOrNothing:
         assert code == 2
         assert out == ""
         assert store.read_bytes() == b'{"earlier": "record"}\n'
+
+
+class TestStdoutIsUtf8:
+    """Stdout gets the bytes an `--output` file gets, UTF-8 with LF, whatever
+    encoding the environment gives the stream."""
+
+    def cli(self, encoding, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(rareminer.__file__).parents[1]),
+               "PYTHONIOENCODING": encoding}
+        return subprocess.run([sys.executable, "-m", "rareminer.cli", *argv],
+                              capture_output=True, env=env)
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_mine_stdout_is_its_output_file(self, tmp_path, encoding):
+        corpus = tmp_path / "db.txt"
+        corpus.write_bytes("café b\nb café\né z\n".encode())
+        argv = ("mine", "--input", str(corpus), "--max-support", "2")
+        written = tmp_path / "out.txt"
+        assert self.cli(encoding, *argv, "--output", str(written)).returncode == 0
+        proc = self.cli(encoding, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "é".encode() in proc.stdout
+        assert proc.stdout == written.read_bytes()
+
+    def test_monitor_alert_under_ascii(self, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_bytes("0 café b\n1000 café b\n2000 café b\n".encode())
+        proc = self.cli("ascii", "monitor", "--events", str(events), "--max-support", "2",
+                        "--cycles", "3", "--cycle-duration", "1000",
+                        "--store", str(tmp_path / "store.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+        assert "ALERT window=0 pattern=b café cycles=3\n".encode() in proc.stdout

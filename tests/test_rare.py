@@ -427,6 +427,27 @@ class TestRareOnlyWalk:
         assert len(counted) == len(set(counted))
         assert len(counted) <= len(transactions) + sum(r.itemset.cardinality for r in got)
 
+    @settings(deadline=None, max_examples=150)
+    @given(rare_only_cases())
+    def test_counts_the_transactions_and_the_reductions_of_its_results_once(self, case):
+        db, sigma, _ = case
+        counted = counting(db)
+        got = mine_rare(db, MiningConfig(sigma, emit="rare"))
+        reductions = {r.itemset.mask ^ 1 << i for r in got for i in r.itemset.item_ids()}
+        assert sorted(counted) == sorted(set(db.rows) | (reductions - {0}))
+
+    def test_builds_one_itemset_per_result(self, monkeypatch):
+        # The walk carries masks: a counted candidate that is not kept never
+        # becomes an ItemSet.
+        db = parse_database(bench_dense_corpus(1))
+        counted = counting(db)
+        built = []
+        post_init = ItemSet.__post_init__
+        monkeypatch.setattr(ItemSet, "__post_init__", lambda s: built.append(s.mask) or post_init(s))
+        got = mine_rare(db, MiningConfig(8, emit="rare"))
+        assert len(counted) == 12910
+        assert len(built) == len(got) == 9953
+
     def test_dense_database_walks_top_down(self):
         # 20 items, each row lacks one of them, 5 rows per missing item, sigma 2:
         # the 20 distinct transactions are all frequent, so the walk is done after
@@ -456,7 +477,7 @@ class TestRareOnlyWalk:
         db = database_from_transactions([labels] * 50)
         counted = counting(db)
         assert mine_rare(db, MiningConfig(2, emit="rare")) == []
-        assert counted == [db.full_itemset().mask]
+        assert counted == [ItemSet.full(db.width).mask]
 
 
 class TestNonpresentWalk:
