@@ -15,11 +15,14 @@ bit per transaction) in one 16-entry table per 4 items, whose entry b is
 the AND of the tid-lists of nibble b's items; it takes at most 4x the
 memory of the plain tid-lists. Two threads racing on a first use can at
 worst build the same piece twice, as identical copies.
+
+The package's value types derive from `_Frozen`, which gives a class with
+`__slots__` the immutability, equality, hashing, repr and pickling of a
+frozen dataclass without the import cost of `dataclasses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -62,20 +65,55 @@ def classify_support(support: int, sigma: int) -> Classification:
     return Classification.FREQUENT
 
 
-@dataclass(frozen=True, slots=True)
-class MinedItemSet:
+class _Frozen:
+    """An immutable value whose fields are its subclass's `__slots__`.
+
+    A subclass sets them in `__init__` with `object.__setattr__`; copies and
+    pickles are rebuilt by calling the class with the fields in slot order.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class MinedItemSet(_Frozen):
     """An item-set with its exact support and its class relative to sigma.
 
     The one result type of every miner: rare, frequent and exhaustive.
     """
 
-    itemset: ItemSet
-    support: int
-    classification: Classification
+    __slots__ = __match_args__ = ("itemset", "support", "classification")
+
+    def __init__(self, itemset: ItemSet, support: int, classification: Classification):
+        object.__setattr__(self, "itemset", itemset)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "classification", classification)
 
 
-@dataclass(frozen=True, slots=True)
-class ItemSet:
+class ItemSet(_Frozen):
     """Fixed-width bit-vector item-set; bit i is set iff item i is a member.
 
     A thin, width-checked shell over its mask: set operations are mask
@@ -83,14 +121,15 @@ class ItemSet:
     a subset), and `ItemSet(0, width)` is the empty item-set.
     """
 
-    mask: int
-    width: int
+    __slots__ = __match_args__ = ("mask", "width")
 
-    def __post_init__(self) -> None:
-        if self.width < 0:
-            raise ValueError(f"negative item-set width {self.width}")
-        if not 0 <= self.mask < (1 << self.width):
-            raise ValueError(f"mask {self.mask:#x} out of range for width {self.width}")
+    def __init__(self, mask: int, width: int):
+        if width < 0:
+            raise ValueError(f"negative item-set width {width}")
+        if not 0 <= mask < (1 << width):
+            raise ValueError(f"mask {mask:#x} out of range for width {width}")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "width", width)
 
     @classmethod
     def full(cls, width: int) -> "ItemSet":

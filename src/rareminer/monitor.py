@@ -19,11 +19,10 @@ produce identical alerts and identical store bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .itemsets import ItemUniverseError, content_lines, database_from_transactions
+from .itemsets import ItemUniverseError, _Frozen, content_lines, database_from_transactions
 from .rare import EMIT_RARE, MiningConfig, mine_rare
 
 AlertSink = Callable[["Alert"], None]
@@ -33,90 +32,113 @@ class ReplayOrderError(ValueError):
     """Replayed event timestamps went backwards."""
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(_Frozen):
     """One observed event: a millisecond timestamp and its item labels.
 
     An event is one transaction for mining purposes; callers that want
     session-level transactions aggregate upstream.
     """
 
-    timestamp: int
-    items: tuple[str, ...]
+    __slots__ = __match_args__ = ("timestamp", "items")
 
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative event timestamp {self.timestamp}")
-        if not self.items:
+    def __init__(self, timestamp: int, items: tuple[str, ...]):
+        if timestamp < 0:
+            raise ValueError(f"negative event timestamp {timestamp}")
+        if not items:
             raise ValueError("an event needs at least one item")
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class EventWindowConfig:
+class EventWindowConfig(_Frozen):
     """Window geometry and mining threshold for the monitoring engine.
 
     A window is exactly `cycles` consecutive buckets of `duration_ms` each;
     `sigma` is the per-cycle exclusive maximum support.
     """
 
-    sigma: int
-    cycles: int
-    duration_ms: int
-    store_path: Union[str, Path]
+    __slots__ = __match_args__ = ("sigma", "cycles", "duration_ms", "store_path")
 
-    def __post_init__(self) -> None:
-        if self.sigma < 1:
-            raise ValueError(f"sigma must be at least 1, got {self.sigma}")
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be at least 1, got {self.cycles}")
-        if self.duration_ms < 1:
-            raise ValueError(f"cycle duration must be at least 1 ms, got {self.duration_ms}")
+    def __init__(self, sigma: int, cycles: int, duration_ms: int, store_path: Union[str, Path]):
+        if sigma < 1:
+            raise ValueError(f"sigma must be at least 1, got {sigma}")
+        if cycles < 1:
+            raise ValueError(f"cycles must be at least 1, got {cycles}")
+        if duration_ms < 1:
+            raise ValueError(f"cycle duration must be at least 1 ms, got {duration_ms}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "duration_ms", duration_ms)
+        object.__setattr__(self, "store_path", store_path)
 
     @property
     def window_ms(self) -> int:
         return self.cycles * self.duration_ms
 
 
-@dataclass(frozen=True)
-class PatternRecurrence:
+class PatternRecurrence(_Frozen):
     """How often one rare pattern was detected across a window's cycles."""
 
-    labels: tuple[str, ...]
-    cycles_detected: int
-    last_support: int
+    __slots__ = __match_args__ = ("labels", "cycles_detected", "last_support")
+
+    def __init__(self, labels: tuple[str, ...], cycles_detected: int, last_support: int):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cycles_detected", cycles_detected)
+        object.__setattr__(self, "last_support", last_support)
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(_Frozen):
     """A rare pattern detected in every cycle of a window."""
 
-    window_start: int
-    labels: tuple[str, ...]
-    cycles_detected: int
-    supports_per_cycle: tuple[int, ...]
+    __slots__ = __match_args__ = ("window_start", "labels", "cycles_detected", "supports_per_cycle")
+
+    def __init__(
+        self,
+        window_start: int,
+        labels: tuple[str, ...],
+        cycles_detected: int,
+        supports_per_cycle: tuple[int, ...],
+    ):
+        object.__setattr__(self, "window_start", window_start)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cycles_detected", cycles_detected)
+        object.__setattr__(self, "supports_per_cycle", supports_per_cycle)
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(_Frozen):
     """One window's outcome.
 
     `skipped_cycles` holds `(cycle, distinct items)`, in cycle order, for
     each cycle over the item cap; such a cycle is not mined.
     """
 
-    window_start: int
-    events_processed: int
-    recurrences: tuple[PatternRecurrence, ...]
-    alerts: tuple[Alert, ...]
-    skipped_cycles: tuple[tuple[int, int], ...] = ()
+    __slots__ = __match_args__ = (
+        "window_start", "events_processed", "recurrences", "alerts", "skipped_cycles"
+    )
+
+    def __init__(
+        self,
+        window_start: int,
+        events_processed: int,
+        recurrences: tuple[PatternRecurrence, ...],
+        alerts: tuple[Alert, ...],
+        skipped_cycles: tuple[tuple[int, int], ...] = (),
+    ):
+        object.__setattr__(self, "window_start", window_start)
+        object.__setattr__(self, "events_processed", events_processed)
+        object.__setattr__(self, "recurrences", recurrences)
+        object.__setattr__(self, "alerts", alerts)
+        object.__setattr__(self, "skipped_cycles", skipped_cycles)
 
 
-@dataclass(frozen=True)
-class ParsedEvents:
+class ParsedEvents(_Frozen):
     """Parsed events, and `(line number, line)` for each malformed line."""
 
-    events: tuple[Event, ...]
-    malformed: tuple[tuple[int, str], ...]
+    __slots__ = __match_args__ = ("events", "malformed")
+
+    def __init__(self, events: tuple[Event, ...], malformed: tuple[tuple[int, str], ...]):
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "malformed", malformed)
 
     @property
     def skipped(self) -> int:

@@ -24,7 +24,6 @@ is filtered after a walk.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Iterator
 
 from .itemsets import (
@@ -32,6 +31,7 @@ from .itemsets import (
     ItemSet,
     MinedItemSet,
     TransactionDatabase,
+    _Frozen,
     canonical_key,
     iter_child_masks,
 )
@@ -42,8 +42,7 @@ EMIT_BOTH = "both"
 EMIT_CHOICES = (EMIT_RARE, EMIT_NONPRESENT, EMIT_BOTH)
 
 
-@dataclass(frozen=True)
-class MiningConfig:
+class MiningConfig(_Frozen):
     """Thresholds and toggles for one mining run.
 
     `sigma` is the exclusive maximum support: an item-set is kept when its
@@ -56,19 +55,19 @@ class MiningConfig:
     generates a candidate that a prune step could drop.
     """
 
-    sigma: int
-    pruning_enabled: bool = True
-    emit: str = EMIT_BOTH
+    __slots__ = __match_args__ = ("sigma", "pruning_enabled", "emit")
 
-    def __post_init__(self) -> None:
-        if self.sigma < 1:
-            raise ValueError(f"sigma must be at least 1, got {self.sigma}")
-        if self.emit not in EMIT_CHOICES:
-            raise ValueError(f"emit must be one of {EMIT_CHOICES}, got {self.emit!r}")
+    def __init__(self, sigma: int, pruning_enabled: bool = True, emit: str = EMIT_BOTH):
+        if sigma < 1:
+            raise ValueError(f"sigma must be at least 1, got {sigma}")
+        if emit not in EMIT_CHOICES:
+            raise ValueError(f"emit must be one of {EMIT_CHOICES}, got {emit!r}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "pruning_enabled", pruning_enabled)
+        object.__setattr__(self, "emit", emit)
 
 
-@dataclass(frozen=True)
-class LevelState:
+class LevelState(_Frozen):
     """Outcome of testing one cardinality level.
 
     `interesting` holds the level's rare and non-present item-sets (all of
@@ -78,9 +77,14 @@ class LevelState:
     level down is generated from `interesting` alone.
     """
 
-    k: int
-    interesting: tuple[MinedItemSet, ...]
-    frequent_record: tuple[ItemSet, ...]
+    __slots__ = __match_args__ = ("k", "interesting", "frequent_record")
+
+    def __init__(
+        self, k: int, interesting: tuple[MinedItemSet, ...], frequent_record: tuple[ItemSet, ...]
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "interesting", interesting)
+        object.__setattr__(self, "frequent_record", frequent_record)
 
 
 def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
@@ -175,8 +179,9 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
         results = _mine_present_rare(db, config.sigma)
     else:
         # A non-present item-set is a rare one at sigma 1, whatever sigma is.
-        walk = replace(config, sigma=1) if config.emit == EMIT_NONPRESENT else config
-        results = [r for level in iter_levels(db, walk) for r in level.interesting]
+        if config.emit == EMIT_NONPRESENT:
+            config = MiningConfig(1, config.pruning_enabled, config.emit)
+        results = [r for level in iter_levels(db, config) for r in level.interesting]
     results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results
 

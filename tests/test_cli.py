@@ -520,14 +520,15 @@ def test_non_utf8_input_is_usage_error(tmp_path, argv):
     assert not out.exists()
 
 
-def test_importing_the_cli_loads_neither_json_nor_logging():
+def test_importing_the_cli_loads_no_json_logging_or_dataclasses():
     # Only the monitor writes JSON, and nothing logs; `mine`, `frequent` and
-    # `classify` should not pay for importing either. -S keeps site-packages
-    # hooks out.
+    # `classify` should not pay for importing either. Nor should any run pay
+    # for `dataclasses`, which imports `inspect`, `ast` and `dis`. -S keeps
+    # site-packages hooks out.
     src = str(Path(rareminer.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import rareminer.cli; "
-        "print(sorted({'json', 'logging'} & set(sys.modules)))"
+        "print(sorted({'json', 'logging', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -638,7 +639,7 @@ class TestMonitorReplayIsAllOrNothing:
 
 class TestStdoutIsUtf8:
     """Stdout gets the bytes an `--output` file gets, UTF-8 with LF, whatever
-    encoding the environment gives the stream."""
+    encoding the environment gives the stream; stderr is UTF-8 too."""
 
     def cli(self, encoding, *argv):
         env = {**os.environ, "PYTHONPATH": str(Path(rareminer.__file__).parents[1]),
@@ -666,3 +667,22 @@ class TestStdoutIsUtf8:
                         "--store", str(tmp_path / "store.jsonl"))
         assert proc.returncode == 0, proc.stderr
         assert "ALERT window=0 pattern=b café cycles=3\n".encode() in proc.stdout
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_warnings_and_errors_are_utf8(self, tmp_path, encoding):
+        events = tmp_path / "events.txt"
+        events.write_bytes("junk café\n0 p q\n".encode())
+        argv = ("monitor", "--max-support", "2", "--cycles", "1", "--cycle-duration", "1000",
+                "--store", str(tmp_path / "store.jsonl"), "--events")
+        proc = self.cli(encoding, *argv, str(events))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "rareminer: warning: skipping malformed event line 1: 'junk café'\n"
+            "rareminer: warning: skipped 1 malformed event line(s)\n"
+        ).encode()
+        missing = tmp_path / "café.txt"
+        proc = self.cli(encoding, *argv, str(missing))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"rareminer: error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        ).encode()

@@ -442,8 +442,10 @@ class TestRareOnlyWalk:
         db = parse_database(bench_dense_corpus(1))
         counted = counting(db)
         built = []
-        post_init = ItemSet.__post_init__
-        monkeypatch.setattr(ItemSet, "__post_init__", lambda s: built.append(s.mask) or post_init(s))
+        init = ItemSet.__init__
+        monkeypatch.setattr(
+            ItemSet, "__init__", lambda s, mask, width: built.append(mask) or init(s, mask, width)
+        )
         got = mine_rare(db, MiningConfig(8, emit="rare"))
         assert len(counted) == 12910
         assert len(built) == len(got) == 9953
