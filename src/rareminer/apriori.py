@@ -15,6 +15,7 @@ item-sets.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Collection, Iterator
 
 from .itemsets import (
@@ -81,12 +82,16 @@ def iter_supported(db: TransactionDatabase, minsupp: int) -> Iterator[tuple[Item
 def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[MinedItemSet]:
     """Exactly the non-empty item-sets with support >= minsupp (inclusive).
 
-    Results carry exact supports and come back sorted by (cardinality,
-    rendered labels).
+    Results carry exact supports, in (cardinality, rendered labels) order:
+    each level of `iter_supported` is read in descending mask order. Only
+    when `db._mask_keys` is false are they sorted, by `canonical_key`.
     """
+    levels = groupby(iter_supported(db, minsupp), key=lambda found: found[0].cardinality)
     results = [
         MinedItemSet(itemset, support, Classification.FREQUENT)
-        for itemset, support in iter_supported(db, minsupp)
+        for _, level in levels
+        for itemset, support in reversed(list(level))
     ]
-    results.sort(key=lambda r: canonical_key(r.itemset, db))
+    if not db._mask_keys:
+        results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results

@@ -24,6 +24,7 @@ frozen dataclass without the import cost of `dataclasses`.
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 # Mining rare and non-present item-sets walks from the full item-set down to
@@ -70,20 +71,24 @@ class _Frozen:
 
     A subclass sets them in `__init__` with `object.__setattr__`; copies and
     pickles are rebuilt by calling the class with the fields in slot order.
+    Each subclass naming slots gets an `attrgetter` over them, `_fields`:
+    the field tuple, as every value type has two or more slots.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._fields = attrgetter(*cls.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -96,7 +101,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return self.__class__, self._fields()
+        return self.__class__, self._fields(self)
 
 
 class MinedItemSet(_Frozen):

@@ -251,25 +251,22 @@ def run_window(
 def persist_window(report: WindowReport, store_path: Union[str, Path]) -> None:
     """Append the window's recurrence records to the store as JSON lines.
 
-    One line per record, canonical order, compact separators, so a replayed
-    window always appends identical bytes. The store is opened even when
-    there is nothing to write, so an unwritable path always fails the window.
-    A write that fails partway is cut back off, so no record is left torn.
+    One line per record, canonical order, so a replayed window always
+    appends identical bytes. Each line is written from its fields, with the
+    labels escaped by the escaper `json` itself uses: the bytes of compact,
+    non-ASCII JSON of {window_start, itemset, cycles_detected, alerted}.
+    The store is opened even when there is nothing to write, so an
+    unwritable path always fails the window. A write that fails partway is
+    cut back off, so no record is left torn.
     """
     import json
+    from json.encoder import encode_basestring as quote
 
     alerted = {alert.labels for alert in report.alerts}
-    encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+    head = '{"window_start":%s,"itemset":[' % json.dumps(report.window_start)
     text = "".join(
-        encode(
-            {
-                "window_start": report.window_start,
-                "itemset": list(rec.labels),
-                "cycles_detected": rec.cycles_detected,
-                "alerted": rec.labels in alerted,
-            }
-        )
-        + "\n"
+        f'{head}{",".join(map(quote, rec.labels))}],"cycles_detected":{rec.cycles_detected},'
+        f'"alerted":{"true" if rec.labels in alerted else "false"}}}\n'
         for rec in report.recurrences
     )
     # Unbuffered: a buffered writer would flush what it holds at close, after the cut.

@@ -18,7 +18,9 @@ the input and the output, not by 2^|I|.
 Non-present mining (`emit=nonpresent`) is the top-down walk at sigma 1:
 support 0 does not depend on sigma, so neither does its work. Each mode
 walks only what it can emit plus the border that stops it, and no result
-is filtered after a walk.
+is filtered after a walk. Each walk returns its results in output order by
+construction; they are sorted only when labels defeat the mask order (see
+`canonical_key`).
 """
 
 from __future__ import annotations
@@ -169,11 +171,13 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     """Every non-empty item-set over the universe with support below sigma.
 
     Returns exact supports with each item-set classified rare (support >= 1)
-    or non-present (support 0), of the classes `config.emit` names, sorted by
-    (cardinality, rendered labels). A database whose full item-set is
+    or non-present (support 0), of the classes `config.emit` names, in
+    (cardinality, rendered labels) order. A database whose full item-set is
     frequent yields an empty result: no rare or non-present item-set exists.
     `emit=rare` walks the present item-sets only; `emit=both` walks the
-    lattice with `iter_levels` at sigma, and `emit=nonpresent` at sigma 1.
+    lattice with `iter_levels` at sigma, and `emit=nonpresent` at sigma 1,
+    read in reverse: its levels and each level's ascending masks. Only when
+    `db._mask_keys` is false are the results sorted, by `canonical_key`.
     """
     if config.emit == EMIT_RARE:
         results = _mine_present_rare(db, config.sigma)
@@ -181,8 +185,10 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
         # A non-present item-set is a rare one at sigma 1, whatever sigma is.
         if config.emit == EMIT_NONPRESENT:
             config = MiningConfig(1, config.pruning_enabled, config.emit)
-        results = [r for level in iter_levels(db, config) for r in level.interesting]
-    results.sort(key=lambda r: canonical_key(r.itemset, db))
+        levels = [level.interesting for level in iter_levels(db, config)]
+        results = [r for level in reversed(levels) for r in reversed(level)]
+    if not db._mask_keys:
+        results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results
 
 
@@ -197,18 +203,23 @@ def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet
     to r. A frequent candidate is counted and not kept. Every counted
     item-set is present, and at most |distinct transactions| + sum of |r|
     over the rare results are counted, whatever the width of the universe.
-    Each level is a {mask: support} dict of its rare item-sets, and an
-    `ItemSet` is built only for a result, once the walk is done.
+    Each level is a {mask: support} dict of its rare item-sets. Once the
+    walk is done, each result gets one `ItemSet`, smallest level first and
+    each level's masks in descending order, the output order.
     """
     count = db.support_of_mask
     by_size: dict[int, set[int]] = {}
     for row in db.rows:
         by_size.setdefault(row.bit_count(), set()).add(row)
-    rare: dict[int, int] = {}
+    levels: list[dict[int, int]] = []
     kept: dict[int, int] = {}
     for k in range(max(by_size, default=0), 0, -1):
         masks = by_size.get(k, set()).union(*map(iter_child_masks, kept))
         kept = {m: s for m in masks if (s := count(m)) < sigma}
-        rare.update(kept)
-    width = db.width
-    return [MinedItemSet(ItemSet(m, width), s, Classification.RARE) for m, s in rare.items()]
+        levels.append(kept)
+    width, rare = db.width, Classification.RARE
+    return [
+        MinedItemSet(ItemSet(m, width), level[m], rare)
+        for level in reversed(levels)
+        for m in sorted(level, reverse=True)
+    ]

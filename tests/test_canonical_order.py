@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rareminer.apriori as apriori
+import rareminer.rare as rare
 from rareminer import (
     EMIT_BOTH,
     EMIT_NONPRESENT,
@@ -97,3 +100,26 @@ def test_labels_of_is_the_sorted_member_labels(db, data):
         itemset = ItemSet(mask, db.width)
         assert db.labels_of(itemset) == naive_labels(db, itemset)
         assert db.render(itemset) == " ".join(naive_labels(db, itemset))
+
+
+@pytest.mark.parametrize(
+    "labels, sorts", [(("a", "a1", "b"), False), (("a", "a\x01", "b"), True)], ids=["masks", "fallback"]
+)
+def test_miners_sort_on_a_key_only_when_labels_rule_out_mask_order(monkeypatch, labels, sorts):
+    # The rare and frequent results hold "a b" and "a1 b" (or "a\x01 b").
+    # Mask order puts "a b" first: right beside "a1 b", wrong beside "a\x01 b".
+    a, second, b = labels
+    keyed = []
+
+    def counting_key(itemset, db):
+        keyed.append(itemset)
+        return canonical_key(itemset, db)
+
+    monkeypatch.setattr(rare, "canonical_key", counting_key)
+    monkeypatch.setattr(apriori, "canonical_key", counting_key)
+    db = database_from_transactions([[a, b], [second, b]])
+    mined = [mine_rare(db, MiningConfig(2, emit=emit)) for emit in (EMIT_RARE, EMIT_NONPRESENT, EMIT_BOTH)]
+    mined.append(mine_frequent(db, 1))
+    for results in mined:
+        assert results == sorted(results, key=lambda r: naive_key(db, r.itemset))
+    assert len(keyed) == (sum(map(len, mined)) if sorts else 0)

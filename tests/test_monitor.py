@@ -6,16 +6,22 @@ import json
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rareminer.monitor as monitor
 from rareminer import (
+    Alert,
     Event,
     EventWindowConfig,
     MiningConfig,
+    PatternRecurrence,
     ReplayOrderError,
+    WindowReport,
     classify_all,
     database_from_transactions,
     format_alert_line,
@@ -42,6 +48,16 @@ ALERTING_STREAM = """\
 2200 x
 2300 x
 """
+
+
+# Characters the JSON escaper treats specially, or that look as if it might:
+# quotes, backslashes, every C0 control, DEL, the Unicode line and paragraph
+# separators, and non-ASCII text inside and beyond the basic plane.
+STORE_LABEL_CHARS = (
+    '"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "é", "Ω", "\U0001F600"
+)
+# Any other character an event file can hold: UTF-8 text has no lone surrogates.
+LABEL_CHARS = st.characters(exclude_categories=("Cs",))
 
 
 def config(tmp_path, sigma=2, cycles=3, duration=1000):
@@ -247,6 +263,52 @@ class TestPersistence:
         parsed = [json.loads(line) for line in lines]
         assert {tuple(p["itemset"]) for p in parsed} == {("p",), ("q",), ("p", "q")}
         assert all(p["window_start"] == 0 for p in parsed)
+
+    def test_labels_with_control_characters_keep_joined_text_order(self, tmp_path):
+        # `str.split` keeps U+0001 inside a label. The joined text "a\x01 b"
+        # sorts before "a b", where a label-tuple or a mask key would not.
+        report = run_window(events_of("0 a b\n1 a\x01 b\n"), config(tmp_path, cycles=1))
+        assert [rec.labels for rec in report.recurrences] == [
+            ("a",), ("a\x01",), ("a\x01", "b"), ("a", "b")
+        ]
+        assert (tmp_path / "store.jsonl").read_bytes() == (
+            b'{"window_start":0,"itemset":["a"],"cycles_detected":1,"alerted":true}\n'
+            b'{"window_start":0,"itemset":["a\\u0001"],"cycles_detected":1,"alerted":true}\n'
+            b'{"window_start":0,"itemset":["a\\u0001","b"],"cycles_detected":1,"alerted":true}\n'
+            b'{"window_start":0,"itemset":["a","b"],"cycles_detected":1,"alerted":true}\n'
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(0, 2**64),
+        st.lists(
+            st.tuples(
+                st.lists(st.text(st.sampled_from(STORE_LABEL_CHARS) | LABEL_CHARS), max_size=4)
+                .map(tuple),
+                st.integers(0, 2**40),
+                st.booleans(),
+            ),
+            max_size=8,
+            unique_by=lambda record: record[0],
+        ),
+    )
+    def test_records_are_the_bytes_of_compact_json(self, window_start, records):
+        recurrences = tuple(PatternRecurrence(labels, n, 1) for labels, n, _ in records)
+        alerts = tuple(Alert(window_start, labels, n, ()) for labels, n, alert in records if alert)
+        encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+        expected = "".join(
+            encode({
+                "window_start": window_start,
+                "itemset": list(labels),
+                "cycles_detected": n,
+                "alerted": alert,
+            }) + "\n"
+            for labels, n, alert in records
+        )
+        with tempfile.TemporaryDirectory() as scratch:
+            store = Path(scratch) / "store.jsonl"
+            monitor.persist_window(WindowReport(window_start, 0, recurrences, alerts), store)
+            assert store.read_bytes() == expected.encode("utf-8")
 
     def test_empty_table_appends_nothing(self, tmp_path):
         cfg = config(tmp_path)
