@@ -52,9 +52,10 @@ class Classification(Enum):
     RARE = "RARE"
     NONPRESENT = "NONPRESENT"
 
-    @property
-    def tag(self) -> str:
-        return self.value
+    def __init__(self, value: str) -> None:
+        # A plain member attribute, read once per output line; `value` is
+        # a Python-level descriptor, many times slower to read.
+        self.tag = value
 
 
 def classify_support(support: int, sigma: int) -> Classification:
@@ -69,8 +70,12 @@ def classify_support(support: int, sigma: int) -> Classification:
 class _Frozen:
     """An immutable value whose fields are its subclass's `__slots__`.
 
-    A subclass sets them in `__init__` with `object.__setattr__`; copies and
-    pickles are rebuilt by calling the class with the fields in slot order.
+    A subclass sets them in `__init__` with `object.__setattr__`, except the
+    two types built once per result, `ItemSet` and `MinedItemSet`: they call
+    their slots' own member descriptors (`ItemSet.mask.__set__`, bound once
+    at module level), which skips `object.__setattr__`'s lookup of the field
+    by name. Copies and pickles are rebuilt by calling the class with the
+    fields in slot order.
     Each subclass naming slots gets an `attrgetter` over them, `_fields`:
     the field tuple, as every value type has two or more slots.
     """
@@ -113,9 +118,9 @@ class MinedItemSet(_Frozen):
     __slots__ = __match_args__ = ("itemset", "support", "classification")
 
     def __init__(self, itemset: ItemSet, support: int, classification: Classification):
-        object.__setattr__(self, "itemset", itemset)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "classification", classification)
+        _set_itemset(self, itemset)
+        _set_support(self, support)
+        _set_classification(self, classification)
 
 
 class ItemSet(_Frozen):
@@ -133,8 +138,8 @@ class ItemSet(_Frozen):
             raise ValueError(f"negative item-set width {width}")
         if not 0 <= mask < (1 << width):
             raise ValueError(f"mask {mask:#x} out of range for width {width}")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "width", width)
+        _set_mask(self, mask)
+        _set_width(self, width)
 
     @classmethod
     def full(cls, width: int) -> "ItemSet":
@@ -156,6 +161,14 @@ class ItemSet(_Frozen):
     def item_ids(self) -> tuple[int, ...]:
         """Member item ids, ascending."""
         return tuple(i for i in range(self.width) if self.mask >> i & 1)
+
+
+# The slots' member descriptors, which the two per-result types write through.
+_set_itemset = MinedItemSet.itemset.__set__
+_set_support = MinedItemSet.support.__set__
+_set_classification = MinedItemSet.classification.__set__
+_set_mask = ItemSet.mask.__set__
+_set_width = ItemSet.width.__set__
 
 
 def iter_child_masks(mask: int) -> Iterator[int]:

@@ -194,7 +194,9 @@ def run_window(
     appended to the store; only then is every pattern found rare in at
     least `cycles` cycles (that is, in all of them) reported once through
     `alert_sink`, so no alert is reported for a window whose records were
-    not stored.
+    not stored. A label the store cannot encode as UTF-8 (one holding a
+    lone surrogate, which no UTF-8 event file gives) raises ValueError
+    before its cycle is mined, so the window stores and reports nothing.
     """
     events = list(events)
     if window_start is None:
@@ -218,6 +220,7 @@ def run_window(
         except ItemUniverseError as exc:
             skipped_cycles.append((cycle, exc.n_items))
             continue
+        _require_utf8(db.labels)
         for found in mine_rare(db, MiningConfig(config.sigma, emit=EMIT_RARE)):
             labels = db.labels_of(found.itemset)
             supports_by_pattern.setdefault(labels, {})[cycle] = found.support
@@ -246,6 +249,17 @@ def run_window(
         for alert in report.alerts:
             alert_sink(alert)
     return report
+
+
+def _require_utf8(labels: Sequence[str]) -> None:
+    """Raise ValueError naming the first label that UTF-8 cannot encode."""
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # Encoding stops at the first bad character, so no earlier label holds it.
+        bad = exc.object[exc.start]
+        label = next(label for label in labels if bad in label)
+        raise ValueError(f"item label {label!r} cannot be encoded as UTF-8") from None
 
 
 def persist_window(report: WindowReport, store_path: Union[str, Path]) -> None:

@@ -21,6 +21,12 @@ walks only what it can emit plus the border that stops it, and no result
 is filtered after a walk. Each walk returns its results in output order by
 construction; they are sorted only when labels defeat the mask order (see
 `canonical_key`).
+
+Both walks carry bare masks. Each level is counted by `evaluate_candidates`
+into a `{mask: support}` dict, and the top-down walk makes its next level
+from that dict's keys. The public objects are built once, from the counts:
+`iter_levels` wraps each counted candidate in one `ItemSet` and each kept
+one in one `MinedItemSet`, and the rare-only walk wraps only its results.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
 
     Members must have one common width and one common cardinality k+1; the
     result holds each such k-item-set once, in ascending mask order. A lone
-    full item-set yields all of its one-item reductions.
+    full item-set yields all of its one-item reductions. A width-checked
+    shell over the walk's mask-level rule.
     """
     members = list(level)
     if not members:
@@ -103,16 +110,20 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
     if len({m.width for m in members}) > 1:
         raise ValueError("mixed item-set widths in one level")
     masks = {m.mask for m in members}
-    cardinalities = {mask.bit_count() for mask in masks}
-    if len(cardinalities) > 1:
+    if len({mask.bit_count() for mask in masks}) > 1:
         raise ValueError("mixed cardinalities in one level")
+    return [ItemSet(mask, width) for mask in _candidate_masks(masks, width)]
+
+
+def _candidate_masks(masks: Collection[int], width: int) -> list[int]:
+    """`generate_candidates` on distinct, non-empty masks of one cardinality."""
     # A k-item-set has width - k supersets of k+1 items, so it is a candidate
     # iff the members' one-item reductions, counted by Counter in C, name it
     # that many times.
-    supersets = width - (cardinalities.pop() - 1)
+    supersets = width - (next(iter(masks)).bit_count() - 1)
     bits = [1 << i for i in range(width)]
     parents = Counter([mask ^ bit for bit in bits for mask in masks if mask & bit])
-    return [ItemSet(mask, width) for mask in sorted([c for c, n in parents.items() if n == supersets])]
+    return sorted([c for c, n in parents.items() if n == supersets])
 
 
 def prune_candidates(
@@ -130,23 +141,22 @@ def prune_candidates(
 
 
 def evaluate_candidates(
-    candidates: Iterable[ItemSet], db: TransactionDatabase, sigma: int
-) -> tuple[list[MinedItemSet], list[ItemSet]]:
-    """Count each candidate's exact support and split the level's outcome.
+    candidates: Iterable[int], db: TransactionDatabase, sigma: int
+) -> tuple[dict[int, int], list[int]]:
+    """Count each candidate mask's exact support and split the level's outcome.
 
-    Candidates with support below sigma come back classified (zero support is
-    non-present, the rest rare); the others form the level's frequent record.
+    Returns `{mask: support}` for the candidates with support below sigma
+    and the list of the others, the level's frequent record, both in
+    candidate order. It is the one counting step of both walks.
     """
-    kept: list[MinedItemSet] = []
-    frequent: list[ItemSet] = []
+    kept: dict[int, int] = {}
+    frequent: list[int] = []
     count = db.support_of_mask
-    rare, nonpresent = Classification.RARE, Classification.NONPRESENT
-    for itemset in candidates:
-        support = count(itemset.mask)
-        if support < sigma:
-            kept.append(MinedItemSet(itemset, support, rare if support else nonpresent))
+    for mask in candidates:
+        if (support := count(mask)) < sigma:
+            kept[mask] = support
         else:
-            frequent.append(itemset)
+            frequent.append(mask)
     return kept, frequent
 
 
@@ -156,15 +166,22 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
     Starts with the full item-set; each later level counts the item-sets one
     item smaller whose every one-item extension the previous level kept.
     Stops after single items, or as soon as a level keeps nothing. The empty
-    set is never a candidate.
+    set is never a candidate. The walk carries masks; each level's public
+    objects are built once, from its counts: zero support is non-present,
+    the rest below sigma rare.
     """
-    candidates = [ItemSet.full(db.width)]
-    for k in range(db.width, 0, -1):
+    width = db.width
+    rare, nonpresent = Classification.RARE, Classification.NONPRESENT
+    candidates = [(1 << width) - 1]
+    for k in range(width, 0, -1):
         kept, frequent = evaluate_candidates(candidates, db, config.sigma)
-        yield LevelState(k, tuple(kept), tuple(frequent))
+        interesting = [
+            MinedItemSet(ItemSet(m, width), s, rare if s else nonpresent) for m, s in kept.items()
+        ]
+        yield LevelState(k, tuple(interesting), tuple([ItemSet(m, width) for m in frequent]))
         if not kept:
             return
-        candidates = generate_candidates([m.itemset for m in kept])
+        candidates = _candidate_masks(kept, width)
 
 
 def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSet]:
@@ -207,7 +224,6 @@ def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet
     walk is done, each result gets one `ItemSet`, smallest level first and
     each level's masks in descending order, the output order.
     """
-    count = db.support_of_mask
     by_size: dict[int, set[int]] = {}
     for row in db.rows:
         by_size.setdefault(row.bit_count(), set()).add(row)
@@ -215,7 +231,7 @@ def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet
     kept: dict[int, int] = {}
     for k in range(max(by_size, default=0), 0, -1):
         masks = by_size.get(k, set()).union(*map(iter_child_masks, kept))
-        kept = {m: s for m in masks if (s := count(m)) < sigma}
+        kept, _ = evaluate_candidates(masks, db, sigma)
         levels.append(kept)
     width, rare = db.width, Classification.RARE
     return [

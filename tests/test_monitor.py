@@ -364,6 +364,15 @@ class TestPersistence:
             run_window(events_of(ALERTING_STREAM), cfg, reported.append)
         assert reported == []
 
+    def test_a_label_utf8_cannot_encode_fails_before_mining(self, tmp_path, monkeypatch):
+        mined = []
+        monkeypatch.setattr(monitor, "mine_rare", lambda *args: mined.append(args) or [])
+        cfg = config(tmp_path)
+        with pytest.raises(ValueError, match=r"item label '\\ud800' cannot be encoded as UTF-8"):
+            run_window([Event(0, ("\ud800", "b"))], cfg)
+        assert mined == []
+        assert not cfg.store_path.exists()
+
 
 class TestReplay:
     def test_deterministic_across_runs(self, tmp_path):

@@ -19,6 +19,7 @@ from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, mined_as_dict, random_da
 from rareminer import (
     Classification,
     ItemSet,
+    MinedItemSet,
     MiningConfig,
     classify_all,
     database_from_transactions,
@@ -31,6 +32,7 @@ from rareminer import (
     parse_database,
     prune_candidates,
 )
+from rareminer.itemsets import classify_support
 
 SIGMA = 3
 
@@ -210,33 +212,30 @@ class TestPruning:
 
 class TestEvaluation:
     def test_splits_interesting_from_frequent(self, worked_db):
-        candidates = [
-            worked_db.itemset_from_labels("abc"),
-            worked_db.itemset_from_labels("abd"),
-        ]
-        mined, frequent = evaluate_candidates(candidates, worked_db, SIGMA)
-        assert [(worked_db.render(m.itemset), m.support) for m in mined] == [
-            ("a b d", 1)
-        ]
-        assert mined[0].classification is Classification.RARE
-        assert [worked_db.render(f) for f in frequent] == ["a b c"]
+        abc, abd = (worked_db.itemset_from_labels(labels).mask for labels in ("abc", "abd"))
+        kept, frequent = evaluate_candidates([abc, abd], worked_db, SIGMA)
+        assert kept == {abd: 1}
+        assert frequent == [abc]
 
     def test_sigma_above_db_size_keeps_everything(self, worked_db):
-        candidates = [
-            worked_db.itemset_from_labels(labels) for labels in ("a", "b", "abc")
-        ]
-        mined, frequent = evaluate_candidates(
-            candidates, worked_db, len(worked_db) + 1
-        )
-        assert len(mined) == 3
+        masks = [worked_db.itemset_from_labels(labels).mask for labels in ("abc", "b", "a")]
+        kept, frequent = evaluate_candidates(masks, worked_db, len(worked_db) + 1)
+        assert list(kept) == masks
         assert frequent == []
 
     def test_single_rare_singleton(self, worked_db):
-        mined, frequent = evaluate_candidates(
-            [worked_db.itemset_from_labels("e")], worked_db, SIGMA
-        )
-        assert [(worked_db.render(m.itemset), m.support) for m in mined] == [("e", 2)]
-        assert frequent == []
+        e = worked_db.itemset_from_labels("e").mask
+        assert evaluate_candidates([e], worked_db, SIGMA) == ({e: 2}, [])
+
+    def test_levels_classify_zero_support_as_nonpresent(self, worked_db):
+        # evaluate_candidates returns bare supports; iter_levels classifies them.
+        levels = {lv.k: lv for lv in iter_levels(worked_db, MiningConfig(SIGMA))}
+        classes = {worked_db.render(m.itemset): m.classification for m in levels[3].interesting}
+        assert classes["a d e"] is Classification.NONPRESENT
+        assert classes["a b d"] is Classification.RARE
+        for level in levels.values():
+            for m in level.interesting:
+                assert m.classification is classify_support(m.support, SIGMA)
 
 
 class TestDegenerateInputs:
@@ -303,8 +302,13 @@ class TestProperties:
                         candidates = generate_candidates([m.itemset for m in previous.interesting])
                         if pruning:
                             candidates = prune_candidates(candidates, previous.frequent_record)
-                    kept, frequent = evaluate_candidates(candidates, db, sigma)
-                    assert (tuple(kept), tuple(frequent)) == (level.interesting, level.frequent_record)
+                    kept, frequent = evaluate_candidates([c.mask for c in candidates], db, sigma)
+                    interesting = tuple(
+                        MinedItemSet(ItemSet(m, db.width), s, classify_support(s, sigma))
+                        for m, s in kept.items()
+                    )
+                    frequent_record = tuple(ItemSet(m, db.width) for m in frequent)
+                    assert (interesting, frequent_record) == (level.interesting, level.frequent_record)
                 assert levels[-1].k == 1 or not levels[-1].interesting
 
     def test_prune_invariance_bytes(self):
@@ -612,6 +616,20 @@ class TestEverySupersetRule:
         counted.clear()
         mine_rare(db, MiningConfig(8))
         assert len(counted) == 13463
+
+    def test_dense_bench_corpus_builds_each_object_once(self, monkeypatch):
+        # The walk carries masks: one ItemSet per counted candidate, for its
+        # level's objects, and one MinedItemSet per result.
+        db = parse_database(bench_dense_corpus(1))
+        built = {ItemSet: 0, MinedItemSet: 0}
+        for cls in built:
+            def counted_init(self, *args, cls=cls, init=cls.__init__):
+                built[cls] += 1
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        got = mine_rare(db, MiningConfig(8))
+        assert len(got) == 12301
+        assert built == {ItemSet: 13463, MinedItemSet: 12301}
 
 
 def counting(db):
