@@ -24,8 +24,8 @@ frozen dataclass without the import cost of `dataclasses`.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from operator import add, and_, attrgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 # Mining rare and non-present item-sets walks from the full item-set down to
 # single items, and the number of rare plus non-present item-sets can approach
@@ -245,7 +245,9 @@ class TransactionDatabase:
             raise ValueError("item-set width does not match this database")
         tables = self._label_tables
         if tables is None:
-            tables = self._label_tables = self._byte_label_tables()
+            # Highest byte first, each entry's labels highest id first: ascending.
+            byte_tables = _subset_tables([(label,) for label in self._labels], 8, (), add)
+            tables = self._label_tables = [*zip(range(0, self.width, 8), byte_tables)][::-1]
         mask = itemset.mask
         labels: tuple[str, ...] = ()
         for shift, table in tables:
@@ -285,27 +287,14 @@ class TransactionDatabase:
             chunk += 1
         return rows.bit_count()
 
-    def _byte_label_tables(self) -> list[tuple[int, list[tuple[str, ...]]]]:
-        """(shift, table) per 8 ids, highest ids first; entry b of a table is
-        the labels of the byte's set bits, highest id first, so ascending."""
-        tables = []
-        for lo in reversed(range(0, self.width, 8)):
-            chunk = self._labels[lo:lo + 8]
-            table: list[tuple[str, ...]] = [()]
-            for b in range(1, 1 << len(chunk)):
-                high = b.bit_length() - 1
-                table.append((chunk[high],) + table[b ^ 1 << high])
-            tables.append((lo, table))
-        return tables
-
     def _nibble_tables(self) -> list[list[int]]:
         """Per 4 items, entry b is the AND of the tid-lists of nibble b's items.
 
         A tid-list has bit r set when transaction r holds the item. Entry 0
-        of every table is one shared all-rows int and each one-item entry is
-        that item's tid-list itself, so a full table adds 11 ints, each no
-        wider than the narrowest tid-list it joins: with the list slots,
-        the index takes at most 4x the memory of the plain tid-lists.
+        of every table is one shared all-rows int, so a full table adds 15
+        ints, each no wider than the narrowest tid-list it joins. The plain
+        tid-lists are freed, and with the list slots the index takes at
+        most 4x their memory.
         """
         tids = [0] * self.width
         for r, mask in enumerate(self._rows):
@@ -314,23 +303,27 @@ class TransactionDatabase:
                 low = mask & -mask
                 tids[low.bit_length() - 1] |= bit
                 mask ^= low
-        every = (1 << len(self._rows)) - 1
-        tables = []
-        for lo in range(0, self.width, 4):
-            chunk = tids[lo:lo + 4]
-            table = [every]
-            for b in range(1, 1 << len(chunk)):
-                high = b.bit_length() - 1
-                rest = b ^ 1 << high
-                table.append(table[rest] & chunk[high] if rest else chunk[high])
-            tables.append(table)
-        return tables
+        return _subset_tables(tids, 4, (1 << len(self._rows)) - 1, and_)
 
     def support(self, itemset: ItemSet) -> int:
         """Exact number of transactions containing every item of `itemset`."""
         if itemset.width != self.width:
             raise ValueError("item-set width does not match this database")
         return self.support_of_mask(itemset.mask)
+
+
+def _subset_tables(values: Sequence, size: int, empty, join: Callable) -> list[list]:
+    """Per `size` ids, a table whose entry 0 is `empty` and whose entry b is
+    `join(value of b's highest id, entry b without that id)`."""
+    tables = []
+    for lo in range(0, len(values), size):
+        chunk = values[lo:lo + size]
+        table = [empty]
+        for b in range(1, 1 << len(chunk)):
+            high = b.bit_length() - 1
+            table.append(join(chunk[high], table[b ^ 1 << high]))
+        tables.append(table)
+    return tables
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

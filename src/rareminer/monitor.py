@@ -150,9 +150,10 @@ def parse_events(text: str) -> ParsedEvents:
 
     Lines are read by `content_lines`, so blank and '#'-prefixed lines are
     skipped silently. Malformed lines (a timestamp that is not all ASCII
-    decimal digits, no items) are skipped, returned in `malformed` with
-    their 1-based line numbers, and never abort the replay. Duplicate items
-    within a line collapse, keeping first-seen order. Timestamps must be non-decreasing; a violation raises
+    decimal digits or has more digits than `int()` accepts, no items) are
+    skipped, returned in `malformed` with their 1-based line numbers, and
+    never abort the replay. Duplicate items within a line collapse, keeping
+    first-seen order. Timestamps must be non-decreasing; a violation raises
     ReplayOrderError.
     """
     events: list[Event] = []
@@ -161,10 +162,14 @@ def parse_events(text: str) -> ParsedEvents:
     for index, line in content_lines(text):
         lineno = index + 1
         tokens = line.split()
-        if not (tokens[0].isascii() and tokens[0].isdigit()) or len(tokens) < 2:
+        try:
+            # int() also refuses more digits than the interpreter's int-string limit.
+            timestamp = int(tokens[0]) if tokens[0].isascii() and tokens[0].isdigit() else -1
+        except ValueError:
+            timestamp = -1
+        if timestamp < 0 or len(tokens) < 2:
             malformed.append((lineno, line))
             continue
-        timestamp = int(tokens[0])
         if last_timestamp is not None and timestamp < last_timestamp:
             raise ReplayOrderError(
                 f"non-monotone timestamps in replay: line {lineno} has "
@@ -303,29 +308,21 @@ def replay(
     """Run consecutive windows over a replayed event stream.
 
     The first window starts at the first event's timestamp; each later
-    window starts at the first event beyond the previous window's end, so
-    idle gaps never produce empty windows. Every event is consumed by
-    exactly one window.
+    window starts at the first event at or past the previous window's end,
+    so idle gaps never produce empty windows. Events may be out of order
+    inside a window, but one before its window's first event raises
+    ReplayOrderError before any window runs, so nothing is stored or alerted.
     """
-    events = list(events)
-    reports: list[WindowReport] = []
-    start_index = 0
-    while start_index < len(events):
-        window_start = events[start_index].timestamp
-        window_end = window_start + config.window_ms
-        end_index = start_index
-        while end_index < len(events) and events[end_index].timestamp < window_end:
-            end_index += 1
-        reports.append(
-            run_window(
-                events[start_index:end_index],
-                config,
-                alert_sink,
-                window_start=window_start,
-            )
-        )
-        start_index = end_index
-    return reports
+    windows: list[tuple[int, list[Event]]] = []
+    for event in events:
+        timestamp = event.timestamp
+        if not windows or timestamp >= window_end:
+            window_start, window_end, bucket = timestamp, timestamp + config.window_ms, []
+            windows.append((window_start, bucket))
+        elif timestamp < window_start:
+            raise ReplayOrderError(f"event at {timestamp} ms precedes its window's start at {window_start} ms")
+        bucket.append(event)
+    return [run_window(bucket, config, alert_sink, window_start=start) for start, bucket in windows]
 
 
 def format_alert_line(alert: Alert) -> str:

@@ -83,6 +83,10 @@ class TestJoin:
         got = {worked_db.render(c) for c in join_candidates(singles)}
         assert got == {"a b", "a c", "b c"}
 
+    def test_mixed_widths_rejected(self):
+        with pytest.raises(ValueError, match="mixed item-set widths"):
+            join_candidates([ItemSet(1, 3), ItemSet(1, 4)])
+
 
 class TestDegenerateInputs:
     def test_empty_database(self):

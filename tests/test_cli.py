@@ -334,6 +334,18 @@ class TestMonitor:
             "rareminer: warning: skipped 2 malformed event line(s)",
         ]
 
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                        reason="this interpreter converts 5,000 digits to an int")
+    def test_timestamp_over_the_int_string_limit_is_a_malformed_line(self, tmp_path):
+        events = self.write_events(tmp_path, "1" * 5000 + " a\n" + self.EVENTS)
+        env = {**os.environ, "PYTHONPATH": str(Path(rareminer.__file__).parents[1])}
+        argv = self.monitor_args(events, str(tmp_path / "store.jsonl"))
+        proc = subprocess.run([sys.executable, "-m", "rareminer.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "rareminer: warning: skipped 1 malformed event line(s)"
+        assert "ALERT window=0 pattern=p q cycles=3" in proc.stdout.splitlines()
+
     def test_deterministic_stdout(self, run, tmp_path):
         events = self.write_events(tmp_path)
         first = run(*self.monitor_args(events, str(tmp_path / "s1.jsonl")))

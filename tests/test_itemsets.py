@@ -203,6 +203,14 @@ class TestSupport:
         with pytest.raises(ValueError):
             worked_db.support(ItemSet(0, 4))
 
+    def test_labels_of_width_mismatch(self, worked_db):
+        with pytest.raises(ValueError, match="width does not match"):
+            worked_db.labels_of(ItemSet(0, 4))
+
+    def test_item_id_of_an_unknown_label(self, worked_db):
+        with pytest.raises(KeyError, match="unknown item label 'z'"):
+            worked_db.item_id("z")
+
     def test_anti_monotone_exhaustive(self, worked_db):
         # over the full 5-item lattice: f subset of g implies supp(f) >= supp(g)
         supports = {
@@ -259,15 +267,16 @@ def _chunk_edge_database(width: int, n_rows: int, seed: int) -> TransactionDatab
     rng = random.Random(seed)
     universe = [f"i{n}" for n in range(width)]
     rows = [[label for label in universe if rng.random() < 0.6] or universe[:1] for _ in range(n_rows)]
-    return database_from_transactions(rows, universe=universe)
+    return database_from_transactions(rows, universe=universe, max_items=max(width, DEFAULT_ITEM_CAP))
 
 
 @pytest.mark.parametrize("n_rows", [0, 70])
-@pytest.mark.parametrize("width", range(14))
+@pytest.mark.parametrize("width", [*range(14), 16, 17, 24, 25])
 def test_counter_across_chunk_edges_matches_label_scan(width, n_rows):
     # The index keeps one table per 4 items, so widths 0-13 cover no table,
     # full tables, and a last table of 1, 2 or 3 items; at 0 rows, every
-    # table entry is the empty tid-list.
+    # table entry is the empty tid-list. The label tables hold 8 ids each,
+    # so widths 16-25 reach a second, a third and a partial fourth one.
     db = _chunk_edge_database(width, n_rows, seed=width)
     rows = label_rows(db)
     if width <= 8:
@@ -279,6 +288,7 @@ def test_counter_across_chunk_edges_matches_label_scan(width, n_rows):
     last = max(width - 1, 0) // 4 * 4
     masks += [m << last for m in range(1, 1 << (width - last))]
     for mask in masks:
+        assert db.labels_of(ItemSet(mask, width)) == _naive_labels(db, mask), mask
         expected = naive_label_support(rows, db.labels_of(ItemSet(mask, width)))
         assert db.support_of_mask(mask) == expected, mask
     assert db.support_of_mask(0) == len(db)

@@ -132,6 +132,13 @@ class TestEventTimestamps:
         assert parsed.events == (Event(7, ("b",)),)
         assert parsed.skipped == 1
 
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                        reason="this interpreter converts 5,000 digits to an int")
+    def test_timestamp_over_the_int_string_limit_skipped(self):
+        parsed = parse_events("1" * 5000 + " a\n0 b\n")
+        assert parsed.malformed == ((1, "1" * 5000 + " a"),)
+        assert parsed.events == (Event(0, ("b",)),)
+
 
 class TestConfig:
     def test_window_is_exactly_cycles_times_duration(self, tmp_path):
@@ -252,6 +259,36 @@ class TestCycleBucketing:
         assert mined == [2, 1]
         recurrence = {r.labels: r.cycles_detected for r in report.recurrences}
         assert recurrence == {("q",): 2, ("p", "q"): 1}
+
+
+class TestReplayOrder:
+    def test_event_before_its_window_start_fails_before_any_window(self, tmp_path):
+        # The event at 100 ms follows the window opened at 5000 ms; the
+        # window at 0 ms is neither stored nor alerted.
+        cfg = config(tmp_path, cycles=1)
+        fired = []
+        events = [Event(0, ("a",)), Event(5000, ("b",)), Event(100, ("c",))]
+        with pytest.raises(ReplayOrderError, match="event at 100 ms .* at 5000 ms"):
+            replay(events, cfg, fired.append)
+        assert fired == []
+        assert not cfg.store_path.exists()
+
+    def test_out_of_order_events_inside_a_window_replay_as_sorted(self, tmp_path):
+        # Cycles of 500 ms: the event at 100 ms comes back to cycle 0 after
+        # cycle 1 has begun, and the event at 1000 ms opens the next window.
+        items = {0: ("p", "q"), 100: ("x",), 500: ("p", "q"), 1000: ("p",)}
+        outcomes = []
+        for name, stamps in (("given", (0, 500, 100, 1000)), ("sorted", (0, 100, 500, 1000))):
+            cfg = config(tmp_path / name, cycles=2, duration=500)
+            cfg.store_path.parent.mkdir()
+            fired = []
+            reports = replay([Event(t, items[t]) for t in stamps], cfg, fired.append)
+            outcomes.append((reports, fired, cfg.store_path.read_bytes()))
+        assert outcomes[0] == outcomes[1]
+        reports, fired, _ = outcomes[0]
+        assert [r.window_start for r in reports] == [0, 1000]
+        assert [r.events_processed for r in reports] == [3, 1]
+        assert [a.labels for a in fired] == [("p",), ("q",), ("p", "q")]
 
 
 class TestPersistence:

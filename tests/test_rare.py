@@ -16,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, mined_as_dict, random_database
+import rareminer.monitor as monitor
 from rareminer import (
     Classification,
+    EventWindowConfig,
     ItemSet,
     MinedItemSet,
     MiningConfig,
+    TransactionDatabase,
     classify_all,
     database_from_transactions,
     evaluate_candidates,
@@ -30,7 +33,9 @@ from rareminer import (
     mine_frequent,
     mine_rare,
     parse_database,
+    parse_events,
     prune_candidates,
+    replay,
 )
 from rareminer.itemsets import classify_support
 
@@ -550,6 +555,11 @@ def parent_walk_counts(db, sigma, pruning):
 
 def bench_dense_corpus(seed):
     """The text of the benchmark's dense corpus (14 items x 400 rows) at `seed`."""
+    return bench_generate().dense_corpus(seed).text
+
+
+def bench_generate():
+    """The benchmark's input generators, `bench/generate.py`, as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
     spec = importlib.util.spec_from_file_location("bench_generate", path)
     module = importlib.util.module_from_spec(spec)
@@ -559,7 +569,7 @@ def bench_dense_corpus(seed):
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.dense_corpus(seed).text
+    return module
 
 
 class TestEverySupersetRule:
@@ -630,6 +640,34 @@ class TestEverySupersetRule:
         got = mine_rare(db, MiningConfig(8))
         assert len(got) == 12301
         assert built == {ItemSet: 13463, MinedItemSet: 12301}
+
+
+class TestBenchCorpusWork:
+    """The work of the monitor's walks and of Apriori on the benchmark's
+    other two corpora at seed 1, beside the dense pins above: a refactor
+    that changes what a walk counts shows here."""
+
+    def test_monitor_stream_counts(self, tmp_path, monkeypatch):
+        counted, found = [], []
+        count = TransactionDatabase.support_of_mask
+        monkeypatch.setattr(TransactionDatabase, "support_of_mask",
+                            lambda db, mask: counted.append(mask) or count(db, mask))
+        monkeypatch.setattr(monitor, "mine_rare",
+                            lambda db, config: found.append(mine_rare(db, config)) or found[-1])
+        events = parse_events(bench_generate().monitor_stream(1).text).events
+        reports = replay(events, EventWindowConfig(3, 3, 1000, tmp_path / "store.jsonl"))
+        assert len(counted) == 2636
+        assert len(found) == 24
+        assert sum(map(len, found)) == 1381
+        assert len(reports) == 8
+        assert sum(len(report.alerts) for report in reports) == 4
+
+    def test_zipf_corpus_counts(self):
+        db = parse_database(bench_generate().zipf_corpus(1).text)
+        counted = counting(db)
+        got = mine_frequent(db, 20)
+        assert len(counted) == 2735
+        assert len(got) == 1317
 
 
 def counting(db):
