@@ -13,8 +13,6 @@ import argparse
 import os
 import stat
 import sys
-import tempfile
-from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .apriori import mine_frequent
@@ -100,7 +98,8 @@ def _read_text(path: str) -> str:
     # Decode the raw bytes: text mode would turn a lone '\r' into a line
     # break, which `content_lines` keeps inside its line.
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
 
@@ -110,17 +109,20 @@ def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     # Resolve a symlink first, so the link stays and its target gets the result.
-    target = Path(os.path.realpath(path))
+    target = os.path.realpath(path)
     # mkstemp creates its file 0600; give the result the mode the replaced
     # file had, or the one `open(path, "w")` would give a new file.
     try:
-        mode = stat.S_IMODE(target.stat().st_mode)
+        mode = stat.S_IMODE(os.stat(target).st_mode)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    directory, name = os.path.split(target)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             os.fchmod(fh.fileno(), mode)

@@ -19,7 +19,7 @@ produce identical alerts and identical store bytes.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .itemsets import ItemUniverseError, _Frozen, content_lines, database_from_transactions
@@ -59,7 +59,7 @@ class EventWindowConfig(_Frozen):
 
     __slots__ = __match_args__ = ("sigma", "cycles", "duration_ms", "store_path")
 
-    def __init__(self, sigma: int, cycles: int, duration_ms: int, store_path: Union[str, Path]):
+    def __init__(self, sigma: int, cycles: int, duration_ms: int, store_path: Union[str, os.PathLike]):
         if sigma < 1:
             raise ValueError(f"sigma must be at least 1, got {sigma}")
         if cycles < 1:
@@ -267,7 +267,7 @@ def _require_utf8(labels: Sequence[str]) -> None:
         raise ValueError(f"item label {label!r} cannot be encoded as UTF-8") from None
 
 
-def persist_window(report: WindowReport, store_path: Union[str, Path]) -> None:
+def persist_window(report: WindowReport, store_path: Union[str, os.PathLike]) -> None:
     """Append the window's recurrence records to the store as JSON lines.
 
     One line per record, canonical order, so a replayed window always
@@ -311,7 +311,8 @@ def replay(
     window starts at the first event at or past the previous window's end,
     so idle gaps never produce empty windows. Events may be out of order
     inside a window, but one before its window's first event raises
-    ReplayOrderError before any window runs, so nothing is stored or alerted.
+    ReplayOrderError before any window runs, and so does a label that UTF-8
+    cannot encode, with ValueError: either way nothing is stored or alerted.
     """
     windows: list[tuple[int, list[Event]]] = []
     for event in events:
@@ -322,6 +323,8 @@ def replay(
         elif timestamp < window_start:
             raise ReplayOrderError(f"event at {timestamp} ms precedes its window's start at {window_start} ms")
         bucket.append(event)
+    for _, bucket in windows:
+        _require_utf8([label for event in bucket for label in event.items])
     return [run_window(bucket, config, alert_sink, window_start=start) for start, bucket in windows]
 
 

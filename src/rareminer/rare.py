@@ -22,11 +22,13 @@ is filtered after a walk. Each walk returns its results in output order by
 construction; they are sorted only when labels defeat the mask order (see
 `canonical_key`).
 
-Both walks carry bare masks. Each level is counted by `evaluate_candidates`
-into a `{mask: support}` dict, and the top-down walk makes its next level
-from that dict's keys. The public objects are built once, from the counts:
-`iter_levels` wraps each counted candidate in one `ItemSet` and each kept
-one in one `MinedItemSet`, and the rare-only walk wraps only its results.
+The two walks here and Apriori's `iter_supported` carry bare masks. Every
+level of all three is counted by `evaluate_candidates` into two
+`{mask: support}` dicts, below sigma and at or above it; the top-down walk
+makes its next level from the first dict's keys. The public objects are
+built once, from the counts: `iter_levels` wraps each counted candidate in
+one `ItemSet` and each kept one in one `MinedItemSet`, and the rare-only
+walk wraps only its results.
 """
 
 from __future__ import annotations
@@ -142,22 +144,23 @@ def prune_candidates(
 
 def evaluate_candidates(
     candidates: Iterable[int], db: TransactionDatabase, sigma: int
-) -> tuple[dict[int, int], list[int]]:
-    """Count each candidate mask's exact support and split the level's outcome.
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Count each candidate mask's exact support and split the level at sigma.
 
-    Returns `{mask: support}` for the candidates with support below sigma
-    and the list of the others, the level's frequent record, both in
-    candidate order. It is the one counting step of both walks.
+    Returns two `{mask: support}` dicts, both in candidate order: the
+    candidates with support below sigma, and the others. It is the one
+    counting step of all three walks: the rare walks keep the first dict,
+    Apriori's `iter_supported` the second.
     """
-    kept: dict[int, int] = {}
-    frequent: list[int] = []
+    below: dict[int, int] = {}
+    above: dict[int, int] = {}
     count = db.support_of_mask
     for mask in candidates:
         if (support := count(mask)) < sigma:
-            kept[mask] = support
+            below[mask] = support
         else:
-            frequent.append(mask)
-    return kept, frequent
+            above[mask] = support
+    return below, above
 
 
 def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[LevelState]:

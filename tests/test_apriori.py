@@ -14,6 +14,7 @@ from rareminer import (
     Classification,
     ItemSet,
     MiningConfig,
+    TransactionDatabase,
     classify_all,
     database_from_transactions,
     iter_supported,
@@ -202,6 +203,25 @@ class TestOneResultType:
         union = mine_rare(db, MiningConfig(sigma)) + mine_frequent(db, sigma)
         assert sorted(union, key=lambda r: r.itemset.mask) == classify_all(db, sigma)
 
+    def test_each_result_gets_one_itemset_and_no_candidate_gets_one(self, worked_db, monkeypatch):
+        built, counted = [], []
+        init, count = ItemSet.__init__, TransactionDatabase.support_of_mask
+
+        def counting_init(self, mask, width):
+            built.append(mask)
+            init(self, mask, width)
+
+        def counting_count(self, mask):
+            counted.append(mask)
+            return count(self, mask)
+
+        monkeypatch.setattr(ItemSet, "__init__", counting_init)
+        monkeypatch.setattr(TransactionDatabase, "support_of_mask", counting_count)
+        results = mine_frequent(worked_db, 2)
+        # 5 items, 10 pairs and the triples a b c and b c d are counted; 12 are frequent.
+        assert (len(counted), len(results)) == (17, 12)
+        assert built == [r.itemset.mask for r in results]
+
 
 class TestSupportedWalk:
     @settings(deadline=None, max_examples=100)
@@ -209,7 +229,13 @@ class TestSupportedWalk:
     def test_yields_every_supported_itemset_once_by_level_then_mask(self, case):
         db, minsupp = case
         expected = sorted(
-            ((e.itemset, e.support) for e in classify_all(db, minsupp) if e.support >= minsupp),
-            key=lambda pair: (pair[0].cardinality, pair[0].mask),
+            (e.itemset.cardinality, e.itemset.mask, e.support)
+            for e in classify_all(db, minsupp)
+            if e.support >= minsupp
         )
-        assert list(iter_supported(db, minsupp)) == expected
+        levels = list(iter_supported(db, minsupp))
+        # One non-empty {mask: support} dict per cardinality, ascending.
+        assert [{m.bit_count() for m in level} for level in levels] == [
+            {k} for k in range(1, len(levels) + 1)
+        ]
+        assert [(m.bit_count(), m, s) for level in levels for m, s in level.items()] == expected

@@ -532,19 +532,23 @@ def test_non_utf8_input_is_usage_error(tmp_path, argv):
     assert not out.exists()
 
 
-def test_importing_the_cli_loads_no_json_logging_or_dataclasses():
+def test_importing_the_cli_loads_no_json_logging_or_dataclasses(db_file):
     # Only the monitor writes JSON, and nothing logs; `mine`, `frequent` and
     # `classify` should not pay for importing either. Nor should any run pay
-    # for `dataclasses`, which imports `inspect`, `ast` and `dis`. -S keeps
+    # for `dataclasses`, which imports `inspect`, `ast` and `dis`, and a run
+    # to standard output not for `tempfile` or `pathlib`. -S keeps
     # site-packages hooks out.
     src = str(Path(rareminer.__file__).parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import rareminer.cli; "
-        "print(sorted({'json', 'logging', 'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); from rareminer.cli import main; "
+        f"code = main(['mine', '--input', {db_file!r}, '--max-support', '3']); "
+        "loaded = {'json', 'logging', 'dataclasses', 'inspect', 'tempfile', 'pathlib'} & set(sys.modules); "
+        "print(code, sorted(loaded), file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout
+    assert proc.stderr == "0 []\n"
 
 
 def test_control_character_labels_keep_joined_string_order(run, tmp_path):

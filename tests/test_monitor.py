@@ -273,6 +273,17 @@ class TestReplayOrder:
         assert fired == []
         assert not cfg.store_path.exists()
 
+    def test_a_bad_label_in_a_later_window_fails_before_any_window(self, tmp_path):
+        # Without the up-front check the first window stores 3 records and
+        # fires 3 alerts before the second window raises.
+        path = tmp_path / "store.jsonl"
+        fired = []
+        events = [Event(0, ("a", "b")), Event(5000, ("\ud800",))]
+        with pytest.raises(ValueError, match=r"item label '\\ud800' cannot be encoded as UTF-8"):
+            replay(events, EventWindowConfig(2, 1, 1000, path), fired.append)
+        assert fired == []
+        assert not path.exists()
+
     def test_out_of_order_events_inside_a_window_replay_as_sorted(self, tmp_path):
         # Cycles of 500 ms: the event at 100 ms comes back to cycle 0 after
         # cycle 1 has begun, and the event at 1000 ms opens the next window.

@@ -220,17 +220,34 @@ class TestEvaluation:
         abc, abd = (worked_db.itemset_from_labels(labels).mask for labels in ("abc", "abd"))
         kept, frequent = evaluate_candidates([abc, abd], worked_db, SIGMA)
         assert kept == {abd: 1}
-        assert frequent == [abc]
+        assert frequent == {abc: 3}
 
     def test_sigma_above_db_size_keeps_everything(self, worked_db):
         masks = [worked_db.itemset_from_labels(labels).mask for labels in ("abc", "b", "a")]
         kept, frequent = evaluate_candidates(masks, worked_db, len(worked_db) + 1)
-        assert list(kept) == masks
-        assert frequent == []
+        assert list(kept.items()) == list(zip(masks, (3, 4, 3)))
+        assert frequent == {}
 
     def test_single_rare_singleton(self, worked_db):
         e = worked_db.itemset_from_labels("e").mask
-        assert evaluate_candidates([e], worked_db, SIGMA) == ({e: 2}, [])
+        assert evaluate_candidates([e], worked_db, SIGMA) == ({e: 2}, {})
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_splits_any_candidates_in_order_with_the_referee_supports(self, data):
+        # Small databases, any sigma up to |D|+2, and any distinct non-empty
+        # masks in any order, including none.
+        universe = CORPUS_LABELS[: data.draw(st.integers(1, 6))]
+        rows = data.draw(st.lists(st.lists(st.sampled_from(universe), min_size=1), max_size=12))
+        db = database_from_transactions(rows, universe=universe)
+        sigma = data.draw(st.integers(1, len(db) + 2))
+        masks = st.integers(1, (1 << db.width) - 1)
+        candidates = data.draw(st.lists(masks, unique=True))
+        referee = {e.itemset.mask: e.support for e in classify_all(db, sigma)}
+        below, above = evaluate_candidates(candidates, db, sigma)
+        assert list(below) == [m for m in candidates if referee[m] < sigma]
+        assert list(above) == [m for m in candidates if referee[m] >= sigma]
+        assert {**below, **above} == {m: referee[m] for m in candidates}
 
     def test_levels_classify_zero_support_as_nonpresent(self, worked_db):
         # evaluate_candidates returns bare supports; iter_levels classifies them.
