@@ -90,5 +90,5 @@ def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[MinedItemSet]:
         for mask, support in reversed(level.items())
     ]
     if not db._mask_keys:
-        results.sort(key=lambda r: canonical_key(r.itemset, db))
+        results.sort(key=lambda r: canonical_key(r.itemset.mask, db))
     return results

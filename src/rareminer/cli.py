@@ -183,7 +183,7 @@ def _cmd_frequent(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     def classify(db: TransactionDatabase, sigma: int) -> list[str]:
-        entries = sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset, db))
+        entries = sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset.mask, db))
         return _result_lines(db, entries)
 
     return _mine_file(args, "--max-support", args.max_support, classify)

@@ -9,14 +9,15 @@ depend on the order of the input. All types here are immutable after
 construction and safe to share across threads; every operation is a pure
 function. Two pieces of each database's state are built later, on first
 use, and never mutated after they are built: the support index, made on
-the first support count, and the text tables, made on the first
-rendering (`render`, `format_line`). The support index holds each item's
-tid-list (an int with a bit per transaction) in one 16-entry table per 4
-items, whose entry b is the AND of the tid-lists of nibble b's items; it
-takes at most 4x the memory of the plain tid-lists. The text tables hold,
-per 8 items, each byte's labels as text, so a mask renders with one
-lookup per 8 items. Two threads racing on a first use can at worst build
-the same piece twice, as identical copies.
+the first support count, and the text tables, made on the first text
+join (`render`, `format_line` and `canonical_key`'s fallback). The
+support index holds each item's tid-list (an int with a bit per
+transaction) in one 16-entry table per 4 items, whose entry b is the AND
+of the tid-lists of nibble b's items; it takes at most 4x the memory of
+the plain tid-lists. The text tables hold, per 8 items, each byte's
+labels as text, so a mask renders with one lookup per 8 items. Two
+threads racing on a first use can at worst build the same piece twice,
+as identical copies.
 
 The package's value types derive from `_Frozen`, which gives a class with
 `__slots__` the immutability, equality, hashing, repr and pickling of a
@@ -143,19 +144,6 @@ class ItemSet(_Frozen):
         _set_mask(self, mask)
         _set_width(self, width)
 
-    @classmethod
-    def full(cls, width: int) -> "ItemSet":
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[int], width: int) -> "ItemSet":
-        mask = 0
-        for item_id in ids:
-            if not 0 <= item_id < width:
-                raise ValueError(f"item id {item_id} out of range for width {width}")
-            mask |= 1 << item_id
-        return cls(mask, width)
-
     @property
     def cardinality(self) -> int:
         return self.mask.bit_count()
@@ -210,7 +198,7 @@ class TransactionDatabase:
         # 4-item tid-list tables, built on the first support count.
         self._tables: Optional[list[list[int]]] = None
         # Per 8 ids, highest first, each byte's labels as text, built on the
-        # first rendering.
+        # first text join.
         self._texts: Optional[list[list[str]]] = None
         # Whether `canonical_key` can be its int form; see there.
         self._mask_keys = all(label and min(label) > " " for label in labels)
@@ -240,14 +228,16 @@ class TransactionDatabase:
             raise KeyError(f"unknown item label {label!r}") from None
 
     def itemset_from_labels(self, labels: Iterable[str]) -> ItemSet:
-        return ItemSet.from_ids((self.item_id(label) for label in labels), self.width)
+        mask = 0
+        for label in labels:
+            mask |= 1 << self.item_id(label)
+        return ItemSet(mask, self.width)
 
-    def labels_of(self, itemset: ItemSet) -> tuple[str, ...]:
-        """Member labels, sorted lexicographically: highest id first."""
-        if itemset.width != self.width:
-            raise ValueError("item-set width does not match this database")
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        """Member labels of `mask`, sorted lexicographically: highest id first."""
         labels = self._labels
-        mask = itemset.mask
+        if not 0 <= mask < 1 << len(labels):
+            raise ValueError(f"mask {mask:#x} out of range for width {len(labels)}")
         out = []
         while mask:
             high = mask.bit_length() - 1
@@ -262,10 +252,7 @@ class TransactionDatabase:
         """
         if itemset.width != self.width:
             raise ValueError("item-set width does not match this database")
-        tables = self._texts
-        if tables is None:
-            tables = self._texts = self._text_tables()
-        return "".join(map(getitem, tables, itemset.mask.to_bytes(len(tables), "big")))[:-1]
+        return self._joined(itemset.mask)[:-1]
 
     def format_line(self, mask: int, support: int, classification: Classification) -> str:
         """`format_result_line` of the non-empty item-set `mask`, and a line feed.
@@ -273,17 +260,17 @@ class TransactionDatabase:
         The labels are one text-table lookup per 8 items, so a result line
         needs no `ItemSet` and no loop over its members.
         """
+        return f"{self._joined(mask)}: {support} {classification.tag}\n"
+
+    def _joined(self, mask: int) -> str:
+        """The rendered labels of `mask` plus one space, one lookup per 8 ids:
+        the text tables, highest byte first, map byte b to its labels in
+        ascending order, each followed by one space."""
         tables = self._texts
         if tables is None:
-            tables = self._texts = self._text_tables()
-        head = "".join(map(getitem, tables, mask.to_bytes(len(tables), "big")))
-        return f"{head}: {support} {classification.tag}\n"
-
-    def _text_tables(self) -> list[list[str]]:
-        """Per 8 ids, highest first: entry b is byte b's labels in ascending
-        order, each followed by one space, so that the entries of a mask's
-        big-endian bytes join into its rendered labels plus a space."""
-        return _subset_tables([label + " " for label in self._labels], 8, "", add)[::-1]
+            labels = [label + " " for label in self._labels]
+            tables = self._texts = _subset_tables(labels, 8, "", add)[::-1]
+        return "".join(map(getitem, tables, mask.to_bytes(len(tables), "big")))
 
     def support_of_mask(self, mask: int) -> int:
         """Number of transactions holding every item of `mask`.
@@ -328,12 +315,6 @@ class TransactionDatabase:
                 tids[low.bit_length() - 1] |= bit
                 mask ^= low
         return _subset_tables(tids, 4, (1 << len(self._rows)) - 1, and_)
-
-    def support(self, itemset: ItemSet) -> int:
-        """Exact number of transactions containing every item of `itemset`."""
-        if itemset.width != self.width:
-            raise ValueError("item-set width does not match this database")
-        return self.support_of_mask(itemset.mask)
 
 
 def _subset_tables(values: Sequence, size: int, empty, join: Callable) -> list[list]:
@@ -437,8 +418,9 @@ def _build(
     return TransactionDatabase(labels, rows)
 
 
-def canonical_key(itemset: ItemSet, db: TransactionDatabase) -> Union[int, tuple[int, str]]:
-    """Sort key for all emitted output: cardinality, then rendered labels.
+def canonical_key(mask: int, db: TransactionDatabase) -> Union[int, tuple[int, str]]:
+    """Sort key of item-set `mask` in all emitted output: cardinality, then
+    rendered labels.
 
     Ids run in descending label order, so the smallest label sits on the
     highest bit, and within one cardinality a larger mask renders smaller.
@@ -447,12 +429,14 @@ def canonical_key(itemset: ItemSet, db: TransactionDatabase) -> Union[int, tuple
     or holds a character at or below U+0020 (the joining space), because
     then no joined label sequence can sort between a label and its
     extensions. A database with such a label gets the `(cardinality,
-    rendered labels)` tuple instead; the check is made once per database.
-    Keys compare only within one database.
+    rendered labels)` tuple instead, whose text drops the joining space
+    after the last label: with it, the label `a` would sort after `a`
+    followed by U+0001. The check is made once per database. Keys compare
+    only within one database.
     """
     if not db._mask_keys:
-        return (itemset.cardinality, db.render(itemset))
-    mask, width = itemset.mask, itemset.width
+        return (mask.bit_count(), db._joined(mask)[:-1])
+    width = db.width
     return mask.bit_count() << width | ((1 << width) - 1 ^ mask)
 
 

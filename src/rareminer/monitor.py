@@ -227,7 +227,7 @@ def run_window(
             continue
         _require_utf8(db.labels)
         for found in mine_rare(db, MiningConfig(config.sigma, emit=EMIT_RARE)):
-            labels = db.labels_of(found.itemset)
+            labels = db.labels_of(found.itemset.mask)
             supports_by_pattern.setdefault(labels, {})[cycle] = found.support
 
     recurrences: list[PatternRecurrence] = []

@@ -219,16 +219,16 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     levels = [level.interesting for level in iter_levels(db, config)]
     results = [r for level in reversed(levels) for r in reversed(level)]
     if not db._mask_keys:
-        results.sort(key=lambda r: canonical_key(r.itemset, db))
+        results.sort(key=lambda r: canonical_key(r.itemset.mask, db))
     return results
 
 
 def mine_rare_masks(db: TransactionDatabase, config: MiningConfig) -> list[tuple[int, int]]:
     """`mine_rare`'s results as `(mask, support)` pairs, in the same order.
 
-    Reads each walk's `{mask: support}` levels and builds no result object;
-    an `ItemSet` is made only for `canonical_key`, when `db._mask_keys` is
-    false and the pairs are sorted.
+    Reads each walk's `{mask: support}` levels and builds no result object
+    or `ItemSet`, also when `db._mask_keys` is false and the pairs are
+    sorted by `canonical_key`.
     """
     if config.emit == EMIT_RARE:
         pairs = _present_rare(db, config.sigma)
@@ -238,8 +238,7 @@ def mine_rare_masks(db: TransactionDatabase, config: MiningConfig) -> list[tuple
         levels = [kept for kept, _ in _top_down(db, sigma)]
         pairs = [pair for level in reversed(levels) for pair in reversed(level.items())]
     if not db._mask_keys:
-        width = db.width
-        pairs.sort(key=lambda pair: canonical_key(ItemSet(pair[0], width), db))
+        pairs.sort(key=lambda pair: canonical_key(pair[0], db))
     return pairs
 
 

@@ -19,7 +19,6 @@ from conftest import (
 from rareminer import (
     Classification,
     EventWindowConfig,
-    ItemSet,
     MiningConfig,
     classify_all,
     database_from_transactions,
@@ -89,7 +88,7 @@ def test_criterion_1_worked_database_regression():
         assert frequent == by_class["FREQUENT"]
 
         # narrative checkpoints
-        assert db.support(ItemSet.full(db.width)) == 0
+        assert db.support_of_mask((1 << db.width) - 1) == 0
         levels = {lv.k: lv for lv in iter_levels(db, MiningConfig(3))}
         assert [db.render(f) for f in levels[3].frequent_record] == ["a b c"]
         # a b, a c and b c lie below the frequent a b c, so they are never
@@ -216,7 +215,7 @@ def _alert_labels_by_brute_force(stream_text, sigma, cycles, duration):
         db = database_from_transactions(bucket)
         for entry in classify_all(db, sigma):
             if entry.classification is Classification.RARE:
-                labels = db.labels_of(entry.itemset)
+                labels = db.labels_of(entry.itemset.mask)
                 detected[labels] = detected.get(labels, 0) + 1
     return {labels for labels, n in detected.items() if n >= cycles}
 

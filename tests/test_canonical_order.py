@@ -3,10 +3,11 @@
 Item ids run in descending label order, so `canonical_key` is one int made
 from the mask, falling back to `(cardinality, rendered labels)` when some
 label is empty or holds a character at or below U+0020. These properties
-compare it, and the table-driven `labels_of`, with a naive rendering over
-label pools built around the edge cases: control characters, labels that
-are prefixes of others, labels holding a space, and non-ASCII labels.
-Universes run past 8 and 16 items, where the lookup tables change byte.
+compare it, `labels_of`, which walks the set bits, and `render`, with a
+naive rendering over label pools built around the edge cases: control
+characters, labels that are prefixes of others, labels holding a space,
+and non-ASCII labels. Universes run past 8 and 16 items, where the text
+join's per-byte tables, the only lookup tables here, change byte.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def naive_key(db, itemset):
 def assert_key_order(db, itemsets):
     shuffled = list(itemsets)
     random.Random(len(shuffled)).shuffle(shuffled)
-    assert sorted(shuffled, key=lambda s: canonical_key(s, db)) == sorted(
+    assert sorted(shuffled, key=lambda s: canonical_key(s.mask, db)) == sorted(
         shuffled, key=lambda s: naive_key(db, s)
     )
 
@@ -98,8 +99,18 @@ def test_labels_of_is_the_sorted_member_labels(db, data):
     masks.append((1 << db.width) - 1)
     for mask in masks:
         itemset = ItemSet(mask, db.width)
-        assert db.labels_of(itemset) == naive_labels(db, itemset)
+        assert db.labels_of(mask) == naive_labels(db, itemset)
         assert db.render(itemset) == " ".join(naive_labels(db, itemset))
+
+
+def test_fallback_key_compares_the_labels_without_a_trailing_space():
+    # "a" sorts before "a\x01", but "a " after "a\x01 ": a key holding the
+    # joining space after the last label would swap each pair below.
+    db = database_from_transactions([["!", "a"], ["!", "a\x01"]])
+    wanted = [["a"], ["a\x01"], ["!", "a"], ["!", "a\x01"]]
+    masks = [db.itemset_from_labels(labels).mask for labels in reversed(wanted)]
+    ordered = sorted(masks, key=lambda mask: canonical_key(mask, db))
+    assert [list(db.labels_of(mask)) for mask in ordered] == wanted
 
 
 @pytest.mark.parametrize(
@@ -111,9 +122,9 @@ def test_miners_sort_on_a_key_only_when_labels_rule_out_mask_order(monkeypatch, 
     a, second, b = labels
     keyed = []
 
-    def counting_key(itemset, db):
-        keyed.append(itemset)
-        return canonical_key(itemset, db)
+    def counting_key(mask, db):
+        keyed.append(mask)
+        return canonical_key(mask, db)
 
     monkeypatch.setattr(rare, "canonical_key", counting_key)
     monkeypatch.setattr(apriori, "canonical_key", counting_key)

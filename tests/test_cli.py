@@ -655,7 +655,7 @@ def test_lines_are_format_result_line_over_the_library(tmp_path_factory, rows, d
     sigma = data.draw(st.integers(1, len(db) + 1), label="sigma")
     cases = [
         (["classify", "--max-support", str(sigma)],
-         sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset, db))),
+         sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset.mask, db))),
         (["frequent", "--min-support", str(sigma)], mine_frequent(db, sigma)),
     ] + [
         (["mine", "--max-support", str(sigma), "--emit", emit],

@@ -137,7 +137,7 @@ def test_class_counts_sum_and_supports_match_label_scan():
         assert len(entries) == 2**db.width - 1
         rows = label_rows(db)
         for e in entries:
-            assert e.support == naive_label_support(rows, db.labels_of(e.itemset))
+            assert e.support == naive_label_support(rows, db.labels_of(e.itemset.mask))
             if e.support >= sigma:
                 assert e.classification is Classification.FREQUENT
             elif e.support > 0:

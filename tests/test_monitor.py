@@ -159,7 +159,7 @@ def brute_force_alert_labels(buckets, sigma, cycles):
         db = database_from_transactions(bucket)
         for entry in classify_all(db, sigma):
             if 0 < entry.support < sigma:
-                labels = db.labels_of(entry.itemset)
+                labels = db.labels_of(entry.itemset.mask)
                 detected[labels] = detected.get(labels, 0) + 1
     return {labels for labels, n in detected.items() if n >= cycles}
 
@@ -227,7 +227,7 @@ class TestCycleBucketing:
             [("p", "q"), ("x",), ("x",), ("x",)]
         )
         standalone = {
-            bucket.labels_of(m.itemset): m.support
+            bucket.labels_of(m.itemset.mask): m.support
             for m in mine_rare(bucket, MiningConfig(2, emit="rare"))
         }
         for recurrence in report.recurrences:

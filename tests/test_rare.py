@@ -132,7 +132,7 @@ class TestLevelWalk:
         assert [worked_db.render(m.itemset) for m in levels[1].interesting] == ["e"]
         assert levels[1].interesting[0].support == 2
         frequent = {
-            worked_db.render(f): worked_db.support(f)
+            worked_db.render(f): worked_db.support_of_mask(f.mask)
             for f in levels[1].frequent_record
         }
         assert frequent == {"d": 3}
@@ -310,7 +310,7 @@ class TestProperties:
             sigma = rng.randint(1, len(db) + 1)
             for pruning in (True, False):
                 levels = list(iter_levels(db, MiningConfig(sigma, pruning_enabled=pruning)))
-                full = ItemSet.full(db.width)
+                full = ItemSet((1 << db.width) - 1, db.width)
                 # One-item reductions of the full item-set, ascending by mask.
                 reductions = [ItemSet(full.mask ^ 1 << i, db.width) for i in reversed(range(db.width))]
                 for depth, level in enumerate(levels):
@@ -505,7 +505,7 @@ class TestRareOnlyWalk:
         db = database_from_transactions([labels] * 50)
         counted = counting(db)
         assert mine_rare(db, MiningConfig(2, emit="rare")) == []
-        assert counted == [ItemSet.full(db.width).mask]
+        assert counted == [(1 << db.width) - 1]
 
 
 class TestNonpresentWalk:
