@@ -30,11 +30,32 @@ the results off those dicts as `(mask, support)` pairs, in output order,
 and builds no object. The public objects are built once, from the counts:
 `iter_levels` wraps each counted candidate in one `ItemSet` and each kept
 one in one `MinedItemSet`, and `mine_rare` wraps only the results.
+
+The top-down walk makes each level's candidates by one rule: the k-item-sets
+all of whose (k+1)-item supersets the level above kept. The rule has two
+implementations, and `_lattice_pays` picks one per level from the level's
+size, its members' cardinality c and the width |I|. The Counter one counts
+each member's one-item reductions, about size * (|I| + 4c) steps. The
+lattice one marks the level in an int with one bit per mask below 2^|I|
+and rules candidates out with |I| shifts and ORs, about 2^|I| / 18 + 1,200
+of the same steps whatever the level's size. The level sizes at which the
+two cost the same, measured on random levels with CPython 3.11, against
+the sizes at which the rule switches (c: measured / rule):
+
+    14 items   c=3: 78 / 82          c=5: 62 / 63         c=8: 47 / 46
+               c=11: 32 / 37
+    18 items   c=3: 535 / 526        c=5: 378 / 415       c=10: 267 / 272
+               c=15: 217 / 203
+    22 items   c=6: 5,957 / 5,092    c=12: 3,337 / 3,346  c=18: 2,572 / 2,492
+    24 items   c=6: 32,857 / 19,444  c=8: 16,511 / 16,666 c=13: 12,755 / 12,280
+               c=19: 8,733 / 9,333
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, count
+from operator import add
 from typing import Collection, Iterable, Iterator
 
 from .itemsets import (
@@ -119,14 +140,91 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
 
 
 def _candidate_masks(masks: Collection[int], width: int) -> list[int]:
-    """`generate_candidates` on distinct, non-empty masks of one cardinality."""
+    """`generate_candidates` on distinct, non-empty masks of one cardinality.
+
+    One rule, two implementations, chosen per level by `_lattice_pays`: a
+    sparse level counts its members' one-item reductions, and a dense one is
+    marked in a lattice indicator, one bit per mask below 2^width (see
+    `_lattice_candidates`). Both return the same list. At mid cardinality
+    the two cost the same at about 47 members over 14 items, 267 over 18,
+    3,337 over 22 and 12,755 over 24 (the module docstring has the table).
+    """
+    cardinality = next(iter(masks)).bit_count()
+    if _lattice_pays(len(masks), cardinality, width):
+        return _lattice_candidates(masks, width)
     # A k-item-set has width - k supersets of k+1 items, so it is a candidate
     # iff the members' one-item reductions, counted by Counter in C, name it
     # that many times.
-    supersets = width - (next(iter(masks)).bit_count() - 1)
+    supersets = width - (cardinality - 1)
     bits = [1 << i for i in range(width)]
     parents = Counter([mask ^ bit for bit in bits for mask in masks if mask & bit])
     return sorted([c for c, n in parents.items() if n == supersets])
+
+
+def _lattice_pays(size: int, cardinality: int, width: int) -> bool:
+    """Whether a level of `size` masks is cheaper through the lattice indicator.
+
+    The Counter rule takes about one step per member and item, plus four per
+    one-item reduction. The lattice indicator's cost hardly depends on the
+    level: in those steps, about 2^width / 18 for its 2 * width operations
+    on 2^width-bit ints, and 1,200 of fixed overhead. Both constants are
+    fitted to the crossover table in the module docstring.
+    """
+    return size * (width + 4 * cardinality) >= (1 << width) // 18 + 1200
+
+
+# Entry v of _BYTE_BITS lists the bits set in byte value v, ascending. Every
+# CLI run imports this module, and building the table by doubling costs an
+# eighth of testing each byte's 8 bits. _NONZERO maps every nonzero byte to 1.
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def _lattice_candidates(masks: Collection[int], width: int) -> list[int]:
+    """`_candidate_masks` through lattice indicators, in ascending mask order.
+
+    Bit c of an indicator stands for mask c. A k-item-set c lacking item i
+    has the superset c + 2^i, so shifting the indicator of the (k+1)-item-sets
+    missing from the level down by 2^i marks, at c, each k-item-set that one
+    of its supersets rules out. Where c holds i, c + 2^i has at most as many
+    items as c, so no k-item-set is marked wrongly. The candidates are the
+    k-item-sets that no shift marks, read out of the indicator's bytes.
+    """
+    k = next(iter(masks)).bit_count() - 1
+    size = ((1 << width) + 7) >> 3
+    flags = bytearray(size)
+    for mask in masks:
+        flags[mask >> 3] |= 1 << (mask & 7)
+    layer, above = _layers(width, k)
+    missing = above ^ int.from_bytes(flags, "little")
+    ruled_out = 0
+    for i in range(width):
+        ruled_out |= missing >> (1 << i)
+    found = (layer & ~ruled_out).to_bytes(size, "little")
+    # Nonzero byte number n sits at n plus the lengths of the zero runs
+    # before it; splitting on the nonzero bytes gives those runs.
+    runs = found.translate(_NONZERO).split(b"\x01")
+    starts = map(add, accumulate(map(len, runs)), count())
+    return [
+        at << 3 | b
+        for at, byte in zip(starts, found.translate(None, b"\x00"))
+        for b in _BYTE_BITS[byte]
+    ]
+
+
+def _layers(width: int, k: int) -> tuple[int, int]:
+    """The lattice indicators of the k- and the (k+1)-item masks below 2^width."""
+    # Pascal's rule: the j-item masks below 2^(m+1) are those below 2^m, and
+    # the (j-1)-item ones there with bit m added. Only the j that can still
+    # reach k or k + 1 with the bits left are kept.
+    row = {0: 1}
+    for m in range(width):
+        shift = 1 << m
+        low = max(0, k - (width - m - 1))
+        row = {j: row.get(j, 0) | row.get(j - 1, 0) << shift for j in range(low, min(k, m) + 2)}
+    return row.get(k, 0), row.get(k + 1, 0)
 
 
 def prune_candidates(

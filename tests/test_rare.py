@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, mined_as_dict, random_database
 import rareminer.monitor as monitor
+import rareminer.rare as rare
 from rareminer import (
     Classification,
     EventWindowConfig,
@@ -180,24 +182,62 @@ class TestCandidateGeneration:
                 ]
             )
 
-    def test_matches_every_superset_is_a_member(self):
+    def test_matches_every_superset_is_a_member(self, monkeypatch):
         # reference: every k-set, by brute force, whose every (k+1)-superset is a member
         rng = random.Random(97)
+        cases = []
         for _ in range(300):
-            width = rng.randint(2, 10)
+            width = rng.randint(2, 16)
             k1 = rng.randint(1, width)
-            pool = [m for m in range(1 << width) if bin(m).count("1") == k1]
+            pool = [m for m in range(1 << width) if m.bit_count() == k1]
             # Small levels rarely cover every superset of anything; near-full ones do.
             size = rng.choice([rng.randint(1, 12), len(pool) - rng.randint(0, 3)])
+            cases.append((width, k1, pool, size))
+        # One member short of, at and one past the size where the rule
+        # switches from counting reductions to the lattice indicator.
+        for width in range(2, 17):
+            for k1 in range(1, width + 1):
+                pool = [m for m in range(1 << width) if m.bit_count() == k1]
+                switch = next(
+                    (s for s in range(1, len(pool) + 1) if rare._lattice_pays(s, k1, width)), None
+                )
+                if switch is not None and rng.random() < 0.25:
+                    cases += [(width, k1, pool, size) for size in (switch - 1, switch, switch + 1)]
+        lattice_calls = []
+        lattice = rare._lattice_candidates
+        monkeypatch.setattr(
+            rare, "_lattice_candidates", lambda *args: lattice_calls.append(1) or lattice(*args)
+        )
+        for width, k1, pool, size in cases:
             level = set(rng.sample(pool, max(1, min(len(pool), size))))
             reference = [
                 child
                 for child in range(1 << width)
-                if bin(child).count("1") == k1 - 1
+                if child.bit_count() == k1 - 1
                 and all(child | 1 << i in level for i in range(width) if not child >> i & 1)
             ]
             got = [c.mask for c in generate_candidates([ItemSet(m, width) for m in level])]
             assert got == reference
+        # Both implementations ran.
+        assert 0 < len(lattice_calls) < len(cases)
+
+    def test_wide_universe_with_small_levels_builds_no_lattice(self):
+        # 24 items, each row the universe less one item: both walks make
+        # candidates from levels of at most 24 members, while one lattice
+        # indicator over 24 items takes 2 MB.
+        labels = [f"i{n:02d}" for n in range(24)]
+        db = database_from_transactions([labels[:n] + labels[n + 1 :] for n in range(24)])
+        full = (1 << 24) - 1
+        tracemalloc.start()
+        try:
+            nonpresent = rare.mine_rare_masks(db, MiningConfig(2, emit="nonpresent"))
+            both = rare.mine_rare_masks(db, MiningConfig(2, emit="both"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nonpresent == [(full, 0)]
+        assert both == [(full ^ 1 << i, 1) for i in range(24)] + [(full, 0)]
+        assert peak < 1_000_000
 
 
 class TestPruning:
