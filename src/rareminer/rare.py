@@ -18,16 +18,15 @@ the input and the output, not by 2^|I|.
 Non-present mining (`emit=nonpresent`) is the top-down walk at sigma 1:
 support 0 does not depend on sigma, so neither does its work. Each mode
 walks only what it can emit plus the border that stops it, and no result
-is filtered after a walk. Each walk returns its results in output order by
-construction; they are sorted only when labels defeat the mask order (see
-`canonical_key`).
+is filtered after a walk.
 
 The two walks here and Apriori's `iter_supported` carry bare masks. Every
 level of all three is counted by `evaluate_candidates` into two
 `{mask: support}` dicts, below sigma and at or above it; the top-down walk
-makes its next level from the first dict's keys. `mine_rare_masks` reads
-the results off those dicts as `(mask, support)` pairs, in output order,
-and builds no object. The public objects are built once, from the counts:
+makes its next level from the first dict's keys. Each walk gives one dict
+per cardinality, in ascending mask order, and `_ordered` reads the levels
+of all three as `(mask, support)` pairs in output order, building no
+object. The public objects are built once, from the counts:
 `iter_levels` wraps each counted candidate in one `ItemSet` and each kept
 one in one `MinedItemSet`, and `mine_rare` wraps only the results.
 
@@ -274,7 +273,7 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
     """
     width = db.width
     rare, nonpresent = Classification.RARE, Classification.NONPRESENT
-    for k, (kept, frequent) in zip(range(width, 0, -1), _top_down(db, config.sigma)):
+    for k, kept, frequent in _top_down(db, config.sigma):
         interesting = [
             MinedItemSet(ItemSet(m, width), s, rare if s else nonpresent) for m, s in kept.items()
         ]
@@ -283,14 +282,14 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
 
 def _top_down(
     db: TransactionDatabase, sigma: int
-) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """`iter_levels` on bare masks: each level's two `evaluate_candidates` dicts."""
+) -> Iterator[tuple[int, dict[int, int], dict[int, int]]]:
+    """`iter_levels` on bare masks: each level's k and two `evaluate_candidates` dicts."""
     width = db.width
     candidates = [(1 << width) - 1]
-    for _ in range(width):
+    for k in range(width, 0, -1):
         kept, frequent = evaluate_candidates(candidates, db, sigma)
-        yield kept, frequent
-        if not kept:
+        yield k, kept, frequent
+        if not kept or k == 1:
             return
         candidates = _candidate_masks(kept, width)
 
@@ -304,9 +303,7 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     frequent yields an empty result: no rare or non-present item-set exists.
     `emit=rare` walks the present item-sets only; `emit=both` walks the
     lattice top-down with `iter_levels` at sigma, and `emit=nonpresent` the
-    same walk on bare masks at sigma 1, each read in reverse: its levels and
-    each level's ascending masks. Only when `db._mask_keys` is false are the
-    results sorted, by `canonical_key`.
+    same walk on bare masks at sigma 1.
     """
     if config.emit != EMIT_BOTH:
         width = db.width
@@ -322,25 +319,32 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
 
 
 def mine_rare_masks(db: TransactionDatabase, config: MiningConfig) -> list[tuple[int, int]]:
-    """`mine_rare`'s results as `(mask, support)` pairs, in the same order.
-
-    Reads each walk's `{mask: support}` levels and builds no result object
-    or `ItemSet`, also when `db._mask_keys` is false and the pairs are
-    sorted by `canonical_key`.
-    """
+    """`mine_rare`'s results as `(mask, support)` pairs, in the same order, with no object built."""
     if config.emit == EMIT_RARE:
-        pairs = _present_rare(db, config.sigma)
+        levels = _present_rare(db, config.sigma)
     else:
         # A non-present item-set is a rare one at sigma 1, whatever sigma is.
         sigma = 1 if config.emit == EMIT_NONPRESENT else config.sigma
-        levels = [kept for kept, _ in _top_down(db, sigma)]
-        pairs = [pair for level in reversed(levels) for pair in reversed(level.items())]
+        levels = [kept for _, kept, _ in _top_down(db, sigma)]
+    return _ordered(reversed(levels), db)
+
+
+def _ordered(levels: Iterable[dict[int, int]], db: TransactionDatabase) -> list[tuple[int, int]]:
+    """`{mask: support}` levels, smallest cardinality first, as pairs in output order.
+
+    Every miner's output order is (cardinality, rendered labels). Each level
+    holds one cardinality in ascending mask order, as every walk's levels
+    do, and item ids run in descending label order, so each level is read
+    backwards. Only when `db._mask_keys` is false, as some label defeats
+    the mask order, are the pairs sorted, by `canonical_key`.
+    """
+    pairs = [pair for level in levels for pair in reversed(level.items())]
     if not db._mask_keys:
         pairs.sort(key=lambda pair: canonical_key(pair[0], db))
     return pairs
 
 
-def _present_rare(db: TransactionDatabase, sigma: int) -> list[tuple[int, int]]:
+def _present_rare(db: TransactionDatabase, sigma: int) -> list[dict[int, int]]:
     """The rare item-sets, from the longest transaction's size down to single items.
 
     Level k counts the distinct k-item transactions plus the one-item
@@ -351,9 +355,8 @@ def _present_rare(db: TransactionDatabase, sigma: int) -> list[tuple[int, int]]:
     to r. A frequent candidate is counted and not kept. Every counted
     item-set is present, and at most |distinct transactions| + sum of |r|
     over the rare results are counted, whatever the width of the universe.
-    Each level is a {mask: support} dict of its rare item-sets. Once the
-    walk is done, they are read as `(mask, support)` pairs, smallest level
-    first and each level's masks in descending order, the output order.
+    Returns a `{mask: support}` dict of rare item-sets per cardinality,
+    largest first, each in ascending mask order; a level may be empty.
     """
     by_size: dict[int, set[int]] = {}
     for row in db.rows:
@@ -362,6 +365,6 @@ def _present_rare(db: TransactionDatabase, sigma: int) -> list[tuple[int, int]]:
     kept: dict[int, int] = {}
     for k in range(max(by_size, default=0), 0, -1):
         masks = by_size.get(k, set()).union(*map(iter_child_masks, kept))
-        kept, _ = evaluate_candidates(masks, db, sigma)
+        kept, _ = evaluate_candidates(sorted(masks), db, sigma)
         levels.append(kept)
-    return [(m, level[m]) for level in reversed(levels) for m in sorted(level, reverse=True)]
+    return levels

@@ -189,6 +189,13 @@ class TestMine:
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert target.read_text() == MINE_SIGMA3_EXPECTED
 
+    def test_missing_output_directory_names_the_output_path(self, run, db_file, tmp_path):
+        target = str(tmp_path / "nope" / "out.txt")
+        code, out, err = run("mine", "--input", db_file, "--max-support", "3", "--output", target)
+        assert code == 1
+        assert out == ""
+        assert err == f"rareminer: error: [Errno 2] No such file or directory: {target!r}\n"
+
     def test_runs_twice_identically(self, run, db_file):
         first = run("mine", "--input", db_file, "--max-support", "3")
         second = run("mine", "--input", db_file, "--max-support", "3")

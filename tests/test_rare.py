@@ -139,6 +139,22 @@ class TestLevelWalk:
         }
         assert frequent == {"d": 3}
 
+    @pytest.mark.parametrize("emit", ["nonpresent", "both"])
+    @pytest.mark.parametrize("rows, sigma", [([], 1), ([["a", "b"], ["c"]], 3)])
+    def test_walk_stops_after_single_items(self, monkeypatch, emit, rows, sigma):
+        # The 1-item level is the last: no candidates are made from it.
+        sizes = []
+        candidate_masks = rare._candidate_masks
+
+        def spy(masks, width):
+            sizes.append(next(iter(masks)).bit_count())
+            return candidate_masks(masks, width)
+
+        monkeypatch.setattr(rare, "_candidate_masks", spy)
+        db = database_from_transactions(rows, universe=["a", "b", "c"])
+        rare.mine_rare_masks(db, MiningConfig(sigma, emit=emit))
+        assert sizes == [3, 2]
+
 
 class TestCandidateGeneration:
     def test_all_ten_triples_from_the_five_quadruples(self, worked_db):
@@ -501,6 +517,28 @@ class TestRareOnlyWalk:
         got = mine_rare(db, MiningConfig(sigma, emit="rare"))
         reductions = {r.itemset.mask ^ 1 << i for r in got for i in r.itemset.item_ids()}
         assert sorted(counted) == sorted(set(db.rows) | (reductions - {0}))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_levels_are_the_present_rare_itemsets_per_cardinality(self, data):
+        universe = CORPUS_LABELS[: data.draw(st.integers(1, 8))]
+        rows = data.draw(st.lists(
+            st.lists(st.sampled_from(universe), min_size=1, unique=True), max_size=12
+        ))
+        db = database_from_transactions(rows, universe=universe)
+        sigma = data.draw(st.integers(1, len(db) + 2))
+        levels = rare._present_rare(db, sigma)
+        longest = max((row.bit_count() for row in db.rows), default=0)
+        assert len(levels) == longest
+        for k, level in zip(range(longest, 0, -1), levels):
+            assert list(level) == sorted(level)
+            assert all(mask.bit_count() == k for mask in level)
+        wanted = {
+            e.itemset.mask: e.support
+            for e in classify_all(db, sigma)
+            if e.classification is Classification.RARE
+        }
+        assert {m: s for level in levels for m, s in level.items()} == wanted
 
     def test_builds_one_itemset_per_result(self, monkeypatch):
         # The walk carries masks: a counted candidate that is not kept never
