@@ -113,26 +113,36 @@ def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    import tempfile
-
-    # Resolve a symlink first, so the link stays and its target gets the result.
-    target = os.path.realpath(path)
-    # mkstemp creates its file 0600; give the result the mode the replaced
-    # file had, or the one `open(path, "w")` would give a new file.
     try:
-        mode = stat.S_IMODE(os.stat(target).st_mode)
+        # Resolve a symlink first, so the link stays and its target gets the result.
+        _write_file(text, os.path.realpath(path))
+    except OSError as exc:  # name the path given, not a resolved or temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _write_file(text: str, target: str) -> None:
+    """Replace the regular file `target`, or create it, atomically; write
+    straight into any other existing `target`, such as a FIFO or a device,
+    as a shell redirect would."""
+    # mkstemp creates its file 0600; give the result the mode the replaced
+    # file had, or the one `open(path, "w")` would give a new, regular file.
+    try:
+        mode = os.stat(target).st_mode
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
-        mode = 0o666 & ~umask
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    import tempfile
+
     directory, name = os.path.split(target)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
-    except OSError as exc:  # name the path given, not mkstemp's random one
-        raise OSError(exc.errno, exc.strerror, path) from None
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.fchmod(fh.fileno(), mode)
+            os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:

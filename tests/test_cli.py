@@ -10,6 +10,7 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,52 @@ class TestMine:
         assert code == 1
         assert out == ""
         assert err == f"rareminer: error: [Errno 2] No such file or directory: {target!r}\n"
+
+    def test_output_directory_names_the_output_path(self, run, db_file, tmp_path):
+        target = tmp_path / "adir"
+        target.mkdir()
+        code, out, err = run("mine", "--input", db_file, "--max-support", "3", "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"rareminer: error: [Errno 21] Is a directory: {str(target)!r}\n"
+        assert target.is_dir()
+        assert list(target.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "db.txt"]
+
+    def test_output_below_a_file_names_the_output_path(self, run, db_file, tmp_path, monkeypatch):
+        # Relative, as typed: the error names neither the absolute nor the
+        # resolved form.
+        monkeypatch.chdir(tmp_path)
+        Path("t.txt").write_text("kept\n")
+        code, out, err = run("mine", "--input", db_file, "--max-support", "3", "--output", "t.txt/x")
+        assert code == 1
+        assert out == ""
+        assert err == "rareminer: error: [Errno 20] Not a directory: 't.txt/x'\n"
+        assert Path("t.txt").read_text() == "kept\n"
+
+    def test_output_to_a_fifo_writes_into_it(self, run, db_file, tmp_path):
+        # A FIFO is written like a shell redirect writes it, never replaced
+        # by a regular file.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code, out, err = run("mine", "--input", db_file, "--max-support", "3", "--output", str(fifo))
+        finally:
+            reader.join(10)
+            if reader.is_alive():
+                # Nothing opened the FIFO for writing: release the reader
+                # waiting for a writer. Non-blocking, so that this fails
+                # rather than waits when no reader is left.
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(10)
+        assert not reader.is_alive()
+        assert (code, out, err) == (0, "", "")
+        assert received == [MINE_SIGMA3_EXPECTED.encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.txt", "pipe"]
 
     def test_runs_twice_identically(self, run, db_file):
         first = run("mine", "--input", db_file, "--max-support", "3")

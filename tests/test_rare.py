@@ -11,6 +11,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, mined_as_dict, random_database
 import rareminer.monitor as monitor
 import rareminer.rare as rare
+import rareminer.supports as supports
 from rareminer import (
     Classification,
     EventWindowConfig,
@@ -714,13 +716,21 @@ class TestEverySupersetRule:
             assert prune_candidates(candidates, level.frequent_record) == candidates
 
     def test_dense_bench_corpus_counts(self):
-        db = parse_database(bench_dense_corpus(1))
-        counted = counting(db)
-        mine_rare(db, MiningConfig(8, emit="nonpresent"))
-        assert len(counted) == 2411
-        counted.clear()
-        mine_rare(db, MiningConfig(8))
-        assert len(counted) == 13463
+        # The walk counts 2,411 candidates under `nonpresent` and 13,463
+        # under `both`: the summed sizes of its levels. It counts the top
+        # levels one mask at a time, 1,850 and 1,471 of them, and reads the
+        # rest from one table of all supports.
+        text = bench_dense_corpus(1)
+        for emit, walk_sigma, candidates, calls in (
+            ("nonpresent", 1, 2411, 1850),
+            ("both", 8, 13463, 1471),
+        ):
+            db = parse_database(text)
+            levels = iter_levels(db, MiningConfig(walk_sigma))
+            assert sum(len(lv.interesting) + len(lv.frequent_record) for lv in levels) == candidates
+            counted = counting(db)
+            mine_rare(db, MiningConfig(8, emit=emit))
+            assert len(counted) == calls
 
     def test_dense_bench_corpus_builds_each_object_once(self, monkeypatch):
         # The walk carries masks: one ItemSet per counted candidate, for its
@@ -763,6 +773,157 @@ class TestBenchCorpusWork:
         got = mine_frequent(db, 20)
         assert len(counted) == 2735
         assert len(got) == 1317
+
+
+@st.composite
+def table_cases(draw):
+    """(database over at most 12 items, sigma in [1, |D|+2] or far above it),
+    rows of any length."""
+    universe = [f"i{n:02d}" for n in range(draw(st.integers(1, 12)))]
+    longest = draw(st.integers(1, len(universe)))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(universe), min_size=1, max_size=longest), max_size=40
+    ))
+    db = database_from_transactions(rows, universe=universe)
+    return db, draw(st.integers(1, len(db) + 2) | st.sampled_from([1 << 16, 1 << 40]))
+
+
+def referee_levels(db, sigma):
+    """The top-down walk's levels from `classify_all`: per cardinality, the
+    kept masks and the frequent ones whose one-item supersets are all kept,
+    down to the first level that keeps nothing."""
+    entries = {e.itemset.mask: e for e in classify_all(db, sigma)}
+    frequent = {m for m, e in entries.items() if e.classification is Classification.FREQUENT}
+    by_size = {}
+    for mask in sorted(entries):
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    levels = []
+    for k in range(db.width, 0, -1):
+        kept = [m for m in by_size[k] if m not in frequent]
+        record = [
+            m for m in by_size[k]
+            if m in frequent
+            and not any(m | 1 << i in frequent for i in range(db.width) if not m >> i & 1)
+        ]
+        levels.append((k, [(m, entries[m].support) for m in kept],
+                       [(m, entries[m].support) for m in record]))
+        if not kept:
+            break
+    return levels
+
+
+def as_lists(levels):
+    """`(k, kept, frequent)` levels with each dict as its list of items, in order."""
+    return [(k, list(kept.items()), list(frequent.items())) for k, kept, frequent in levels]
+
+
+def walk_only(db, sigma):
+    """The top-down walk's levels, every one counted mask by mask."""
+    with patch.object(rare, "_table_pays", lambda counted, width: False):
+        return as_lists(rare._top_down(db, sigma))
+
+
+class TestSupportTable:
+    """Past a size, the top-down walk reads its remaining levels from one
+    table of all 2^|I| supports: the same dicts, in the same order."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(table_cases())
+    def test_levels_with_and_without_the_table_are_the_referees(self, case):
+        db, sigma = case
+        expected = referee_levels(db, sigma)
+        assert walk_only(db, sigma) == expected
+        # From the top, and after the walk's first level.
+        assert as_lists(supports.table_levels(db, sigma, db.width)) == expected
+        with patch.object(rare, "_table_pays", lambda counted, width: True):
+            assert as_lists(rare._top_down(db, sigma)) == expected
+
+    def test_dense_walks_build_the_table_and_thin_walks_do_not(self, monkeypatch):
+        built = []
+        table_levels = supports.table_levels
+        monkeypatch.setattr(
+            supports, "table_levels", lambda db, sigma, top: built.append(top) or table_levels(db, sigma, top)
+        )
+        dense = parse_database(bench_dense_corpus(1))
+        rare.mine_rare_masks(dense, MiningConfig(8))
+        assert built == [9]
+        built.clear()
+        # Every 16-item subset of 20 items once: the walk at sigma 1 counts
+        # the 1,351 item-sets of 17 items or more, all non-present, and
+        # stops after the 4,845 16-item ones, all present.
+        labels = [f"i{n:02d}" for n in range(20)]
+        db = database_from_transactions(combinations(labels, 16))
+        for emit in ("both", "nonpresent"):
+            assert len(rare.mine_rare_masks(db, MiningConfig(1, emit=emit))) == 1351
+        assert built == []
+
+    def test_databases_of_2_to_the_15_rows_or_more_take_32_bit_lanes(self):
+        # Supports reach 2^15 and more, where a 16-bit lane's top bit sits.
+        rng = random.Random(40000)
+        labels = [f"i{n}" for n in range(8)]
+        rows = [[label for label in labels if rng.random() < 0.9] or labels[:1] for _ in range(40_000)]
+        cases = [(database_from_transactions(rows), (1, 2_000, 20_000, 35_000, 40_001))]
+        # Every row the full item-set, one row either side of the lane switch.
+        for size in (32_767, 32_768):
+            cases.append((database_from_transactions([labels] * size), (1, size, size + 1)))
+        for db, sigmas in cases:
+            for sigma in sigmas:
+                assert as_lists(supports.table_levels(db, sigma, db.width)) == walk_only(db, sigma)
+
+
+def scanned_supports(db):
+    """{mask: support} of every present item-set of `db`, by a plain scan.
+
+    The present item-sets are the non-empty subsets of the distinct rows,
+    2^|row| per row, so the cost follows the rows, not 2^|I|; each is
+    counted by testing it against every row, not by the miners' counter.
+    """
+    present = set()
+    for row in set(db.rows):
+        subset = row
+        while subset:
+            present.add(subset)
+            subset = (subset - 1) & row
+    return {s: sum(s & row == s for row in db.rows) for s in present}
+
+
+@st.composite
+def wide_cases(draw):
+    """(database over 17-20 items with rows of at most 8, sigma in [1, |D|+2])."""
+    universe = [f"w{n:02d}" for n in range(draw(st.integers(17, 20)))]
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(universe), min_size=1, max_size=8), max_size=30
+    ))
+    db = database_from_transactions(rows, universe=universe)
+    return db, draw(st.integers(1, len(db) + 2))
+
+
+class TestWideReferee:
+    """Past `classify_all`'s 16 items, the miners against a scan of the
+    present item-sets: what is not present has support 0."""
+
+    # A 20-item example takes about 1.6 s, a 17-item one 0.2 s.
+    @settings(deadline=None, max_examples=15)
+    @given(wide_cases())
+    def test_rare_and_frequent_results_partition_the_lattice(self, case):
+        db, sigma = case
+        scanned = scanned_supports(db)
+        seen = bytearray(1 << db.width)
+        both = rare.mine_rare_masks(db, MiningConfig(sigma, emit="both"))
+        for mask, support in both:
+            seen[mask] += 1
+            assert support == scanned.get(mask, 0) < sigma
+        present = [pair for pair in both if pair[1]]
+        del both
+        assert rare.mine_rare_masks(db, MiningConfig(sigma, emit="rare")) == present
+        for result in mine_frequent(db, sigma):
+            seen[result.itemset.mask] += 1
+            assert result.support == scanned[result.itemset.mask] >= sigma
+        # Every non-empty mask exactly once.
+        assert seen == b"\x00" + b"\x01" * ((1 << db.width) - 1)
+        nonpresent = rare.mine_rare_masks(db, MiningConfig(sigma, emit="nonpresent"))
+        assert len({mask for mask, _ in nonpresent}) == len(nonpresent) == len(seen) - 1 - len(scanned)
+        assert all(support == 0 and mask not in scanned for mask, support in nonpresent)
 
 
 def counting(db):
