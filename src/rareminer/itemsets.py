@@ -17,7 +17,9 @@ of the tid-lists of nibble b's items; it takes at most 4x the memory of
 the plain tid-lists. The text tables hold, per 8 items, each byte's
 labels as text, so a mask renders with one lookup per 8 items. Two
 threads racing on a first use can at worst build the same piece twice,
-as identical copies.
+as identical copies. A walk that counts most of the lattice counts on a
+copy of its database that reads every support from one table (`_reading`);
+the database it copied is not changed.
 
 The package's value types derive from `_Frozen`, which gives a class with
 `__slots__` the immutability, equality, hashing, repr and pickling of a
@@ -179,6 +181,9 @@ class TransactionDatabase:
     their input order, and each is non-empty and within the universe.
     """
 
+    # Every support, indexed by mask, on the copies `_reading` makes.
+    _supports: Optional[Sequence[int]] = None
+
     def __init__(self, labels: Sequence[str], rows: Iterable[int]):
         labels = tuple(labels)
         index: dict[str, int] = {}
@@ -281,10 +286,14 @@ class TransactionDatabase:
         the tid-lists of the items in nibble b (entry 0 is every row), so
         the count is one AND per 4 items up to the mask's highest member,
         then a bit count. The empty mask counts every transaction; a mask
-        with a bit outside the universe counts none.
+        with a bit outside the universe counts none. A copy made by
+        `_reading` has no index: it reads the count from its table.
         """
         tables = self._tables
         if tables is None:
+            supports = self._supports
+            if supports is not None:
+                return 0 if mask >> len(self._labels) else supports[mask]
             tables = self._tables = self._nibble_tables()
         if not mask:
             return len(self._rows)
@@ -297,6 +306,17 @@ class TransactionDatabase:
             mask >>= 4
             chunk += 1
         return rows.bit_count()
+
+    def _reading(self, supports: Sequence[int]) -> TransactionDatabase:
+        """A copy of this database whose `support_of_mask(m)` is `supports[m]`.
+
+        `supports` must hold the support of every mask below 2^|I|. The copy
+        builds no tid-list index and shares all other state with this
+        database, which is left as it was.
+        """
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, _tables=None, _supports=supports)
+        return copy
 
     def _nibble_tables(self) -> list[list[int]]:
         """Per 4 items, entry b is the AND of the tid-lists of nibble b's items.

@@ -49,34 +49,33 @@ the sizes at which the rule switches (c: measured / rule):
     24 items   c=6: 32,857 / 19,444  c=8: 16,511 / 16,666 c=13: 12,755 / 12,280
                c=19: 8,733 / 9,333
 
-Where the walk's levels are dense, it reads its remaining levels from one
-table of all 2^|I| supports (`supports.table_levels`): the superset-sum (zeta)
-transform of the row histogram (Yates 1937; Bjorklund, Husfeldt, Kaski &
-Koivisto, STOC 2007), with each support in a 16-bit lane of one int, or a
-32-bit one when |D| >= 2^15, so that no lane carries. |I| shift, AND and
-add passes fill it, and |I| shift, AND and OR passes over its flags find
-the frequent records. `_table_pays` builds it once the masks the walk has
-counted, the next level's candidates included, reach 2^|I| / C + 200 with
-C = 8: about what the table and its flags cost, in masks counted one at a
-time, so the table never costs more than the walk has already spent. Its
-read-out is left out, since its cost follows the output, as the walk's
-does. That cost against the rule's count, measured on 400 random rows
-with CPython 3.11 (medians of interleaved runs; at 22 items against the
-20-item walk's cost per mask):
+Where the walk's levels are dense, it counts its remaining levels on one
+table of all 2^|I| supports (`supports.support_table`): the superset-sum
+(zeta) transform of the row histogram (Yates 1937; Bjorklund, Husfeldt,
+Kaski & Koivisto, STOC 2007), with each support in a 16-bit lane of one
+int, or a 32-bit one when |D| >= 2^15, so that no lane carries; |I|
+shift, AND and add passes fill it. The walk's levels, candidates and
+counts stay as they were: each candidate is still one `support_of_mask`
+call, on a copy of the database that reads the table. `_table_pays`
+builds it once the masks the walk has counted, the next level's
+candidates included, reach 2^|I| / C + 150 with C = 16: at least what the
+table costs, in masks counted one at a time, so the table never costs
+more than the walk has already spent and no run takes much more than
+twice its walk. That cost against the rule's count, measured on 400
+random rows with CPython 3.11 (medians of 5 runs; 2 at 20 and 22 items):
 
-    10 items: 325 / 328          12 items: 677 / 712
-    14 items: 1,727 / 2,248      16 items: 6,374 / 8,392
-    18 items: 25,688 / 32,968    20 items: 86,821 / 131,272
-    22 items: 517,257 / 524,488
+    10 items: 187 / 214          12 items: 310 / 406
+    14 items: 646 / 1,174        16 items: 2,010 / 4,246
+    18 items: 12,005 / 16,534    20 items: 32,655 / 65,686
+    22 items: 182,793 / 262,294
 
-So no run takes much more than twice its walk. On the benchmark's dense
-corpus (14 items x 400 rows, sigma 8) the walk counts its top five levels,
-1,471 masks, and reads the next six from the table: `mine_rare_masks`
-takes 0.44 of the walk's time. A walk that stops soon after the switch
-pays for the table without using much of it: the same corpus at sigma 1
-counts 1,850 masks and reads only the last 561 from the table, 1.5 times
-the walk's time. A walk that stops one level below a full top, such as
-that of every 16-item subset of 20 items at sigma 1, never switches.
+On the benchmark's dense corpus (14 items x 400 rows, sigma 8) the walk
+counts its top four levels, 470 masks, one by one and the other 12,993
+on the table: `mine_rare(emit=both)` takes about 0.85 of its time without
+the table. At sigma 1 the same walk switches after 1,016 masks and
+counts only the last 1,395 on the table, at about 1.08 times its time
+without it. A walk that stops one level below a full top, such as that
+of every 16-item subset of 20 items at sigma 1, never switches.
 """
 
 from __future__ import annotations
@@ -315,9 +314,9 @@ def _top_down(
     """`iter_levels` on bare masks: each level's k and two `evaluate_candidates` dicts.
 
     Once the masks counted so far, the next level's candidates included,
-    reach `_table_pays`, every remaining level is read from one table of
-    all 2^|I| supports (`supports.table_levels`), with the same dicts in
-    the same order; the candidates made for that level are left uncounted.
+    reach `_table_pays`, the walk builds one table of all 2^|I| supports
+    (`supports.support_table`) and counts every later candidate by reading
+    it, through a copy of `db` (`TransactionDatabase._reading`).
     """
     width = db.width
     candidates = [(1 << width) - 1]
@@ -329,22 +328,21 @@ def _top_down(
             return
         counted += len(candidates)
         candidates = _candidate_masks(kept, width)
-        if _table_pays(counted + len(candidates), width):
+        if db._supports is None and _table_pays(counted + len(candidates), width):
             # Imported here, so that runs that build no table never compile it.
-            from .supports import table_levels
+            from .supports import support_table
 
-            yield from table_levels(db, sigma, k - 1)
-            return
+            db = db._reading(support_table(db))
 
 
 def _table_pays(counted: int, width: int) -> bool:
     """Whether the walk, having counted `counted` masks, has spent what the table costs.
 
-    Building the table and its flags takes about as long as counting
-    2^width / 8 + 200 masks one by one (the module docstring has the
-    measurements), so from there on the table at most doubles the walk.
+    Building the table takes at most about as long as counting 2^width / 16
+    + 150 masks one by one (the module docstring has the measurements), so
+    from there on the table at most doubles the walk.
     """
-    return counted >= (1 << width) // 8 + 200
+    return counted >= (1 << width) // 16 + 150
 
 
 def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSet]:

@@ -1,4 +1,4 @@
-"""The top-down walk's dense tail, read from one table of all supports.
+"""One table of the support of every mask, for walks that count most of the lattice.
 
 `rare._top_down` imports this module only when it builds the table, so a
 run that builds none does not compile it.
@@ -6,71 +6,39 @@ run that builds none does not compile it.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
-from itertools import compress
-from struct import unpack
 from typing import Iterator
 
 from .itemsets import TransactionDatabase
 
 
-def table_levels(
-    db: TransactionDatabase, sigma: int, top: int
-) -> Iterator[tuple[int, dict[int, int], dict[int, int]]]:
-    """`rare._top_down`'s levels from cardinality `top` down, from one table of all supports.
+def support_table(db: TransactionDatabase) -> array:
+    """The support of every mask below 2^|I|, indexed by mask.
 
-    The table is one int of 2^|I| lanes, 16 bits each, or 32 when |D| >= 2^15,
-    so that no support, at most |D|, carries into the next lane. Lane m
-    starts as the number of rows equal to m. Pass i of the superset-sum
-    transform adds lane m + 2^i to lane m for every m without item i, so
-    after |I| passes lane m holds the support of m. Adding 2^(bits-1) -
-    sigma to every lane, with sigma at most |D| + 1, sets its top bit
-    exactly when the support is sigma or more. A level's kept masks are its
-    masks with that bit clear, and its frequent record those with it set
-    whose one-item supersets all have it clear. The walk reaches every kept
-    mask, as a kept mask's supersets are all kept.
+    The table is built as one int of 2^|I| lanes, 16 bits each, or 32 when
+    |D| >= 2^15, so that no support, at most |D|, carries into the next
+    lane. Lane m starts as the number of rows equal to m. Pass i of the
+    superset-sum (zeta) transform adds lane m + 2^i to lane m for every m
+    without item i, so after |I| passes lane m holds the support of m. The
+    lanes are read out as little-endian bytes into an `array` of 2 or 4
+    bytes per mask.
     """
     width = db.width
     size = 1 << width
     lane = 2 if len(db) < 1 << 15 else 4
-    bits = lane * 8
     counts = bytearray(size * lane)
     for row, n in Counter(db.rows).items():
         counts[row * lane:(row + 1) * lane] = n.to_bytes(lane, "little")
     table = int.from_bytes(counts, "little")
-    for shift, without in _lanes_without(width, bits):
+    del counts
+    for shift, without in _lanes_without(width, lane * 8):
         table += (table >> shift) & without
-    # One byte per mask from here on. Once 2^(bits-1) - sigma is added to
-    # every lane, bit 7 of lane m's top byte is set iff m is frequent.
-    floor = ((1 << (bits - 1)) - min(sigma, len(db) + 1)).to_bytes(lane, "little") * size
-    tops = (table + int.from_bytes(floor, "little")).to_bytes(size * lane, "little")[lane - 1::lane]
-    frequent = int.from_bytes(tops.translate(bytes(v & 0x80 for v in range(256))), "little")
-    # Bit 7 of byte m: some one-item superset of m is frequent.
-    ruled_out = 0
-    for shift, without in _lanes_without(width, 8):
-        ruled_out |= (frequent >> shift) & without
-    cardinalities = b"\x00"
-    for _ in range(width):
-        cardinalities += cardinalities.translate(bytes(range(1, 256)) + b"\x00")
-    # Key of mask m: its cardinality, plus 0x80 if kept or 0x40 if in the
-    # frequent record.
-    keys = (
-        (frequent ^ int.from_bytes(b"\x80" * size, "little"))
-        | (frequent ^ (frequent & ruled_out)) >> 1
-        | int.from_bytes(cardinalities, "little")
-    ).to_bytes(size, "little")
-    wanted = keys.translate(bytes([v > 63 and 0 < v & 63 <= top for v in range(256)]))
-    supports = unpack(f"<{size}{'H' if lane == 2 else 'I'}", table.to_bytes(size * lane, "little"))
-    levels: list[dict[int, int]] = [{} for _ in range(256)]
-    for mask, key, support in zip(
-        compress(range(size), wanted), compress(keys, wanted), compress(supports, wanted)
-    ):
-        levels[key][mask] = support
-    for k in range(top, 0, -1):
-        kept = levels[0x80 | k]
-        yield k, kept, levels[0x40 | k]
-        if not kept:
-            return
+    supports = array("H" if lane == 2 else "I", table.to_bytes(size * lane, "little"))
+    if sys.byteorder == "big":
+        supports.byteswap()
+    return supports
 
 
 def _lanes_without(width: int, bits: int) -> Iterator[tuple[int, int]]:

@@ -716,21 +716,13 @@ class TestEverySupersetRule:
             assert prune_candidates(candidates, level.frequent_record) == candidates
 
     def test_dense_bench_corpus_counts(self):
-        # The walk counts 2,411 candidates under `nonpresent` and 13,463
-        # under `both`: the summed sizes of its levels. It counts the top
-        # levels one mask at a time, 1,850 and 1,471 of them, and reads the
-        # rest from one table of all supports.
-        text = bench_dense_corpus(1)
-        for emit, walk_sigma, candidates, calls in (
-            ("nonpresent", 1, 2411, 1850),
-            ("both", 8, 13463, 1471),
-        ):
-            db = parse_database(text)
-            levels = iter_levels(db, MiningConfig(walk_sigma))
-            assert sum(len(lv.interesting) + len(lv.frequent_record) for lv in levels) == candidates
-            counted = counting(db)
-            mine_rare(db, MiningConfig(8, emit=emit))
-            assert len(counted) == calls
+        db = parse_database(bench_dense_corpus(1))
+        counted = counting(db)
+        mine_rare(db, MiningConfig(8, emit="nonpresent"))
+        assert len(counted) == 2411
+        counted.clear()
+        mine_rare(db, MiningConfig(8))
+        assert len(counted) == 13463
 
     def test_dense_bench_corpus_builds_each_object_once(self, monkeypatch):
         # The walk carries masks: one ItemSet per counted candidate, for its
@@ -817,36 +809,67 @@ def as_lists(levels):
     return [(k, list(kept.items()), list(frequent.items())) for k, kept, frequent in levels]
 
 
-def walk_only(db, sigma):
-    """The top-down walk's levels, every one counted mask by mask."""
-    with patch.object(rare, "_table_pays", lambda counted, width: False):
+def walk_with_table(db, sigma, pays):
+    """The top-down walk's levels, with `_table_pays` answering `pays`."""
+    with patch.object(rare, "_table_pays", lambda counted, width: pays):
         return as_lists(rare._top_down(db, sigma))
 
 
+def table_counts(db):
+    """Every support `support_table` gives, against a scan of the rows."""
+    return list(supports.support_table(db)), [
+        sum(mask & row == mask for row in db.rows) for mask in range(1 << db.width)
+    ]
+
+
 class TestSupportTable:
-    """Past a size, the top-down walk reads its remaining levels from one
-    table of all 2^|I| supports: the same dicts, in the same order."""
+    """Past a size, the top-down walk counts on one table of all 2^|I|
+    supports: the same levels, dicts and order, and the same counts."""
 
     @settings(deadline=None, max_examples=200)
     @given(table_cases())
     def test_levels_with_and_without_the_table_are_the_referees(self, case):
         db, sigma = case
         expected = referee_levels(db, sigma)
-        assert walk_only(db, sigma) == expected
-        # From the top, and after the walk's first level.
-        assert as_lists(supports.table_levels(db, sigma, db.width)) == expected
-        with patch.object(rare, "_table_pays", lambda counted, width: True):
-            assert as_lists(rare._top_down(db, sigma)) == expected
+        assert walk_with_table(db, sigma, False) == expected
+        assert walk_with_table(db, sigma, True) == expected
+        got, scanned = table_counts(db)
+        assert got == scanned
+
+    def test_a_copy_reading_the_table_counts_like_its_database(self):
+        db = database_from_transactions([["a", "b"], ["b", "c", "d"], ["a", "b", "d"], ["d"]])
+        db.support_of_mask(1)
+        copy = db._reading(supports.support_table(db))
+        # The empty mask, negative masks and masks past the universe too.
+        for mask in range(-3, 1 << (db.width + 1)):
+            assert copy.support_of_mask(mask) == db.support_of_mask(mask)
+        assert db._supports is None
+        assert (copy.labels, copy.rows) == (db.labels, db.rows)
+        # The copy reads its table, not the index of the database it copied.
+        assert db._reading(range(100, 116)).support_of_mask(5) == 105
+
+    def test_every_counted_candidate_is_one_support_count(self, monkeypatch):
+        # The table changes what a count costs, not what is counted: the
+        # bench tracer's `rare.counted` is its `support_of_mask` calls.
+        calls = []
+        count = TransactionDatabase.support_of_mask
+        monkeypatch.setattr(
+            TransactionDatabase, "support_of_mask", lambda db, mask: calls.append(mask) or count(db, mask)
+        )
+        db = parse_database(bench_dense_corpus(1))
+        for sigma in (1, 8, 40):
+            calls.clear()
+            levels = list(rare._top_down(db, sigma))
+            assert calls == [m for _, kept, frequent in levels for m in sorted({**kept, **frequent})]
 
     def test_dense_walks_build_the_table_and_thin_walks_do_not(self, monkeypatch):
         built = []
-        table_levels = supports.table_levels
-        monkeypatch.setattr(
-            supports, "table_levels", lambda db, sigma, top: built.append(top) or table_levels(db, sigma, top)
-        )
+        support_table = supports.support_table
+        monkeypatch.setattr(supports, "support_table", lambda db: built.append(db) or support_table(db))
         dense = parse_database(bench_dense_corpus(1))
         rare.mine_rare_masks(dense, MiningConfig(8))
-        assert built == [9]
+        assert built == [dense]
+        assert dense._supports is None
         built.clear()
         # Every 16-item subset of 20 items once: the walk at sigma 1 counts
         # the 1,351 item-sets of 17 items or more, all non-present, and
@@ -867,8 +890,11 @@ class TestSupportTable:
         for size in (32_767, 32_768):
             cases.append((database_from_transactions([labels] * size), (1, size, size + 1)))
         for db, sigmas in cases:
+            assert supports.support_table(db).itemsize == (2 if len(db) < 1 << 15 else 4)
+            got, scanned = table_counts(db)
+            assert got == scanned
             for sigma in sigmas:
-                assert as_lists(supports.table_levels(db, sigma, db.width)) == walk_only(db, sigma)
+                assert walk_with_table(db, sigma, True) == walk_with_table(db, sigma, False)
 
 
 def scanned_supports(db):
