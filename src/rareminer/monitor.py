@@ -276,7 +276,9 @@ def persist_window(report: WindowReport, store_path: Union[str, os.PathLike]) ->
     non-ASCII JSON of {window_start, itemset, cycles_detected, alerted}.
     The store is opened even when there is nothing to write, so an
     unwritable path always fails the window. A write that fails partway is
-    cut back off, so no record is left torn.
+    cut back off, so no record is left torn. The store must be a regular
+    file: one that cannot seek, such as a FIFO, fails before anything is
+    written. Every `OSError` names `store_path`.
     """
     import json
     from json.encoder import encode_basestring as quote
@@ -288,16 +290,19 @@ def persist_window(report: WindowReport, store_path: Union[str, os.PathLike]) ->
         f'"alerted":{"true" if rec.labels in alerted else "false"}}}\n'
         for rec in report.recurrences
     )
-    # Unbuffered: a buffered writer would flush what it holds at close, after the cut.
-    with open(store_path, "ab", buffering=0) as fh:
-        start = fh.tell()
-        try:
-            view = memoryview(text.encode("utf-8"))
-            while view:
-                view = view[fh.write(view):]
-        except BaseException:
-            fh.truncate(start)
-            raise
+    try:
+        # Unbuffered: a buffered writer would flush what it holds at close, after the cut.
+        with open(store_path, "ab", buffering=0) as fh:
+            start = fh.tell()
+            try:
+                view = memoryview(text.encode("utf-8"))
+                while view:
+                    view = view[fh.write(view):]
+            except BaseException:
+                fh.truncate(start)
+                raise
+    except OSError as exc:  # `tell` on a FIFO, or a failed write, names no file
+        raise OSError(exc.errno, exc.strerror, os.fspath(store_path)) from None
 
 
 def replay(

@@ -31,58 +31,52 @@ object. The public objects are built once, from the counts:
 one in one `MinedItemSet`, and `mine_rare` wraps only the results.
 
 The top-down walk makes each level's candidates by one rule: the k-item-sets
-all of whose (k+1)-item supersets the level above kept. The rule has two
-implementations, and `_lattice_pays` picks one per level from the level's
-size, its members' cardinality c and the width |I|. The Counter one counts
-each member's one-item reductions, about size * (|I| + 4c) steps. The
-lattice one marks the level in an int with one bit per mask below 2^|I|
-and rules candidates out with |I| shifts and ORs, about 2^|I| / 18 + 1,200
-of the same steps whatever the level's size. The level sizes at which the
-two cost the same, measured on random levels with CPython 3.11, against
-the sizes at which the rule switches (c: measured / rule):
+all of whose (k+1)-item supersets the level above kept. `_candidate_masks`
+counts each kept member's one-item reductions in a `Counter`; a k-item-set
+is a candidate when it is named |I| - k times.
 
-    14 items   c=3: 78 / 82          c=5: 62 / 63         c=8: 47 / 46
-               c=11: 32 / 37
-    18 items   c=3: 535 / 526        c=5: 378 / 415       c=10: 267 / 272
-               c=15: 217 / 203
-    22 items   c=6: 5,957 / 5,092    c=12: 3,337 / 3,346  c=18: 2,572 / 2,492
-    24 items   c=6: 32,857 / 19,444  c=8: 16,511 / 16,666 c=13: 12,755 / 12,280
-               c=19: 8,733 / 9,333
-
-Where the walk's levels are dense, it counts its remaining levels on one
+Where the walk's levels are dense, it reads its remaining levels off one
 table of all 2^|I| supports (`supports.support_table`): the superset-sum
 (zeta) transform of the row histogram (Yates 1937; Bjorklund, Husfeldt,
 Kaski & Koivisto, STOC 2007), with each support in a 16-bit lane of one
 int, or a 32-bit one when |D| >= 2^15, so that no lane carries; |I|
-shift, AND and add passes fill it. The walk's levels, candidates and
-counts stay as they were: each candidate is still one `support_of_mask`
+shift, AND and add passes fill it. The same table gives the candidates of
+every later level. At every level the walk has kept exactly the masks of
+that cardinality below sigma, as every superset of a mask below sigma is
+below it too; so "every (k+1)-superset was kept" means "no (k+1)-superset
+reaches sigma". The table marks each mask with a one-item superset that
+reaches sigma, in |I| passes over one byte per mask; the unmarked masks
+are the candidates, and each is still counted by one `support_of_mask`
 call, on a copy of the database that reads the table. `_table_pays`
 builds it once the masks the walk has counted, the next level's
-candidates included, reach 2^|I| / C + 150 with C = 16: at least what the
-table costs, in masks counted one at a time, so the table never costs
-more than the walk has already spent and no run takes much more than
-twice its walk. That cost against the rule's count, measured on 400
-random rows with CPython 3.11 (medians of 5 runs; 2 at 20 and 22 items):
+candidates included, reach 2^|I| / 24 + 50: at least what the table and
+its read-out cost, in masks counted one at a time and made by the
+`Counter` rule, so the table never costs more than the walk has already
+spent and no run takes much more than twice its walk. That cost against
+the rule's count, measured on 400 random rows at sigma 1 with CPython
+3.11 (medians of 5 runs; 2 at 20 items, 1 at 22):
 
-    10 items: 187 / 214          12 items: 310 / 406
-    14 items: 646 / 1,174        16 items: 2,010 / 4,246
-    18 items: 12,005 / 16,534    20 items: 32,655 / 65,686
-    22 items: 182,793 / 262,294
+    10 items: 52 / 92            12 items: 208 / 220
+    14 items: 634 / 732          16 items: 2,524 / 2,780
+    18 items: 9,866 / 10,972     20 items: 36,551 / 43,740
+    22 items: 157,675 / 174,812
 
 On the benchmark's dense corpus (14 items x 400 rows, sigma 8) the walk
 counts its top four levels, 470 masks, one by one and the other 12,993
-on the table: `mine_rare(emit=both)` takes about 0.85 of its time without
-the table. At sigma 1 the same walk switches after 1,016 masks and
-counts only the last 1,395 on the table, at about 1.08 times its time
-without it. A walk that stops one level below a full top, such as that
-of every 16-item subset of 20 items at sigma 1, never switches.
+on the table. Against the walk that made dense levels' candidates in a
+bitmap of one bit per mask and read none off the table (medians of 40
+interleaved pairs in process, parsing included): `mine_rare` 0.92,
+`mine_rare_masks` 0.83 at sigma 8 and 0.78 at sigma 40, 0.77 and 0.85
+on the Zipf corpus cut to 18 and 20 items at sigma 20, and 1.00 and 1.02
+for the dense sigma 1 walk (`emit=nonpresent`) of seeds 1 and 5. A walk
+that stops one level below a full top, such as that of every 16-item
+subset of 20 items at sigma 1, never switches; the `Counter` rule alone
+takes it to 1.02 (`emit=both`) and 1.06 (`emit=nonpresent`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, count
-from operator import add
 from typing import Collection, Iterable, Iterator
 
 from .itemsets import (
@@ -167,18 +161,8 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
 
 
 def _candidate_masks(masks: Collection[int], width: int) -> list[int]:
-    """`generate_candidates` on distinct, non-empty masks of one cardinality.
-
-    One rule, two implementations, chosen per level by `_lattice_pays`: a
-    sparse level counts its members' one-item reductions, and a dense one is
-    marked in a lattice indicator, one bit per mask below 2^width (see
-    `_lattice_candidates`). Both return the same list. At mid cardinality
-    the two cost the same at about 47 members over 14 items, 267 over 18,
-    3,337 over 22 and 12,755 over 24 (the module docstring has the table).
-    """
+    """`generate_candidates` on distinct, non-empty masks of one cardinality."""
     cardinality = next(iter(masks)).bit_count()
-    if _lattice_pays(len(masks), cardinality, width):
-        return _lattice_candidates(masks, width)
     # A k-item-set has width - k supersets of k+1 items, so it is a candidate
     # iff the members' one-item reductions, counted by Counter in C, name it
     # that many times.
@@ -186,72 +170,6 @@ def _candidate_masks(masks: Collection[int], width: int) -> list[int]:
     bits = [1 << i for i in range(width)]
     parents = Counter([mask ^ bit for bit in bits for mask in masks if mask & bit])
     return sorted([c for c, n in parents.items() if n == supersets])
-
-
-def _lattice_pays(size: int, cardinality: int, width: int) -> bool:
-    """Whether a level of `size` masks is cheaper through the lattice indicator.
-
-    The Counter rule takes about one step per member and item, plus four per
-    one-item reduction. The lattice indicator's cost hardly depends on the
-    level: in those steps, about 2^width / 18 for its 2 * width operations
-    on 2^width-bit ints, and 1,200 of fixed overhead. Both constants are
-    fitted to the crossover table in the module docstring.
-    """
-    return size * (width + 4 * cardinality) >= (1 << width) // 18 + 1200
-
-
-# Entry v of _BYTE_BITS lists the bits set in byte value v, ascending. Every
-# CLI run imports this module, and building the table by doubling costs an
-# eighth of testing each byte's 8 bits. _NONZERO maps every nonzero byte to 1.
-_BYTE_BITS: list[tuple[int, ...]] = [()]
-for _bit in range(8):
-    _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
-_NONZERO = bytes([0]) + bytes([1]) * 255
-
-
-def _lattice_candidates(masks: Collection[int], width: int) -> list[int]:
-    """`_candidate_masks` through lattice indicators, in ascending mask order.
-
-    Bit c of an indicator stands for mask c. A k-item-set c lacking item i
-    has the superset c + 2^i, so shifting the indicator of the (k+1)-item-sets
-    missing from the level down by 2^i marks, at c, each k-item-set that one
-    of its supersets rules out. Where c holds i, c + 2^i has at most as many
-    items as c, so no k-item-set is marked wrongly. The candidates are the
-    k-item-sets that no shift marks, read out of the indicator's bytes.
-    """
-    k = next(iter(masks)).bit_count() - 1
-    size = ((1 << width) + 7) >> 3
-    flags = bytearray(size)
-    for mask in masks:
-        flags[mask >> 3] |= 1 << (mask & 7)
-    layer, above = _layers(width, k)
-    missing = above ^ int.from_bytes(flags, "little")
-    ruled_out = 0
-    for i in range(width):
-        ruled_out |= missing >> (1 << i)
-    found = (layer & ~ruled_out).to_bytes(size, "little")
-    # Nonzero byte number n sits at n plus the lengths of the zero runs
-    # before it; splitting on the nonzero bytes gives those runs.
-    runs = found.translate(_NONZERO).split(b"\x01")
-    starts = map(add, accumulate(map(len, runs)), count())
-    return [
-        at << 3 | b
-        for at, byte in zip(starts, found.translate(None, b"\x00"))
-        for b in _BYTE_BITS[byte]
-    ]
-
-
-def _layers(width: int, k: int) -> tuple[int, int]:
-    """The lattice indicators of the k- and the (k+1)-item masks below 2^width."""
-    # Pascal's rule: the j-item masks below 2^(m+1) are those below 2^m, and
-    # the (j-1)-item ones there with bit m added. Only the j that can still
-    # reach k or k + 1 with the bits left are kept.
-    row = {0: 1}
-    for m in range(width):
-        shift = 1 << m
-        low = max(0, k - (width - m - 1))
-        row = {j: row.get(j, 0) | row.get(j - 1, 0) << shift for j in range(low, min(k, m) + 2)}
-    return row.get(k, 0), row.get(k + 1, 0)
 
 
 def prune_candidates(
@@ -315,34 +233,41 @@ def _top_down(
 
     Once the masks counted so far, the next level's candidates included,
     reach `_table_pays`, the walk builds one table of all 2^|I| supports
-    (`supports.support_table`) and counts every later candidate by reading
-    it, through a copy of `db` (`TransactionDatabase._reading`).
+    (`supports.support_table`), which also gives every later level's
+    candidates, and counts them by reading it, through a copy of `db`
+    (`TransactionDatabase._reading`).
     """
     width = db.width
     candidates = [(1 << width) - 1]
     counted = 0
+    tail: list[list[int]] = []
     for k in range(width, 0, -1):
         kept, frequent = evaluate_candidates(candidates, db, sigma)
         yield k, kept, frequent
         if not kept or k == 1:
             return
+        if tail:
+            candidates = tail.pop()
+            continue
         counted += len(candidates)
         candidates = _candidate_masks(kept, width)
-        if db._supports is None and _table_pays(counted + len(candidates), width):
+        if _table_pays(counted + len(candidates), width):
             # Imported here, so that runs that build no table never compile it.
             from .supports import support_table
 
-            db = db._reading(support_table(db))
+            table, tail = support_table(db, sigma, k - 2)
+            db = db._reading(table)
 
 
 def _table_pays(counted: int, width: int) -> bool:
     """Whether the walk, having counted `counted` masks, has spent what the table costs.
 
-    Building the table takes at most about as long as counting 2^width / 16
-    + 150 masks one by one (the module docstring has the measurements), so
-    from there on the table at most doubles the walk.
+    Building the table and reading out its candidates takes at most about
+    as long as counting 2^width / 24 + 50 masks one by one, each made by the
+    `Counter` rule (the module docstring has the measurements), so from
+    there on the table at most doubles the walk.
     """
-    return counted >= (1 << width) // 16 + 150
+    return counted >= (1 << width) // 24 + 50
 
 
 def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSet]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -372,6 +373,28 @@ class TestMonitor:
         assert out == ""
         assert err.startswith("rareminer: error: ")
 
+    def test_a_store_that_cannot_seek_is_named(self, run, tmp_path):
+        # A FIFO opens for append but cannot report its end, so the window
+        # fails before anything is written, naming the store as given.
+        events = self.write_events(tmp_path, "0 p q\n1000 p q\n2000 p q\n")
+        fifo = tmp_path / "store"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code, out, err = run(*self.monitor_args(events, str(fifo)))
+        finally:
+            reader.join(10)
+            if reader.is_alive():
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(10)
+        assert not reader.is_alive()
+        assert (code, out) == (1, "")
+        assert err == f"rareminer: error: [Errno {errno.ESPIPE}] {os.strerror(errno.ESPIPE)}: {str(fifo)!r}\n"
+        assert received == [b""]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
     def test_non_monotone_events_are_usage_error(self, run, tmp_path):
         events = self.write_events(tmp_path, "900 x\n100 y\n")
         store = str(tmp_path / "store.jsonl")
@@ -605,19 +628,22 @@ def test_importing_the_cli_loads_no_json_logging_or_dataclasses(db_file):
     # Only the monitor writes JSON, and nothing logs; `mine`, `frequent` and
     # `classify` should not pay for importing either. Nor should any run pay
     # for `dataclasses`, which imports `inspect`, `ast` and `dis`, and a run
-    # to standard output not for `tempfile` or `pathlib`. -S keeps
-    # site-packages hooks out.
+    # to standard output not for `tempfile` or `pathlib`. A walk too thin
+    # to build the support table, and Apriori, which builds none, should not
+    # load `rareminer.supports`. -S keeps site-packages hooks out.
     src = str(Path(rareminer.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); from rareminer.cli import main; "
-        f"code = main(['mine', '--input', {db_file!r}, '--max-support', '3']); "
-        "loaded = {'json', 'logging', 'dataclasses', 'inspect', 'tempfile', 'pathlib'} & set(sys.modules); "
-        "print(code, sorted(loaded), file=sys.stderr)"
-    )
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
-    assert proc.stderr == "0 []\n"
+    for argv in (["mine", "--max-support", "3"], ["frequent", "--min-support", "3"]):
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from rareminer.cli import main; "
+            f"code = main({argv + ['--input', db_file]!r}); "
+            "loaded = {'json', 'logging', 'dataclasses', 'inspect', 'tempfile', 'pathlib', "
+            "'rareminer.supports'} & set(sys.modules); "
+            "print(code, sorted(loaded), file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        assert proc.stderr == "0 []\n"
 
 
 def test_control_character_labels_keep_joined_string_order(run, tmp_path):

@@ -200,33 +200,15 @@ class TestCandidateGeneration:
                 ]
             )
 
-    def test_matches_every_superset_is_a_member(self, monkeypatch):
+    def test_matches_every_superset_is_a_member(self):
         # reference: every k-set, by brute force, whose every (k+1)-superset is a member
         rng = random.Random(97)
-        cases = []
         for _ in range(300):
             width = rng.randint(2, 16)
             k1 = rng.randint(1, width)
             pool = [m for m in range(1 << width) if m.bit_count() == k1]
             # Small levels rarely cover every superset of anything; near-full ones do.
             size = rng.choice([rng.randint(1, 12), len(pool) - rng.randint(0, 3)])
-            cases.append((width, k1, pool, size))
-        # One member short of, at and one past the size where the rule
-        # switches from counting reductions to the lattice indicator.
-        for width in range(2, 17):
-            for k1 in range(1, width + 1):
-                pool = [m for m in range(1 << width) if m.bit_count() == k1]
-                switch = next(
-                    (s for s in range(1, len(pool) + 1) if rare._lattice_pays(s, k1, width)), None
-                )
-                if switch is not None and rng.random() < 0.25:
-                    cases += [(width, k1, pool, size) for size in (switch - 1, switch, switch + 1)]
-        lattice_calls = []
-        lattice = rare._lattice_candidates
-        monkeypatch.setattr(
-            rare, "_lattice_candidates", lambda *args: lattice_calls.append(1) or lattice(*args)
-        )
-        for width, k1, pool, size in cases:
             level = set(rng.sample(pool, max(1, min(len(pool), size))))
             reference = [
                 child
@@ -236,8 +218,6 @@ class TestCandidateGeneration:
             ]
             got = [c.mask for c in generate_candidates([ItemSet(m, width) for m in level])]
             assert got == reference
-        # Both implementations ran.
-        assert 0 < len(lattice_calls) < len(cases)
 
     def test_wide_universe_with_small_levels_builds_no_lattice(self):
         # 24 items, each row the universe less one item: both walks make
@@ -817,7 +797,7 @@ def walk_with_table(db, sigma, pays):
 
 def table_counts(db):
     """Every support `support_table` gives, against a scan of the rows."""
-    return list(supports.support_table(db)), [
+    return list(supports.support_table(db, 1, 0)[0]), [
         sum(mask & row == mask for row in db.rows) for mask in range(1 << db.width)
     ]
 
@@ -839,7 +819,7 @@ class TestSupportTable:
     def test_a_copy_reading_the_table_counts_like_its_database(self):
         db = database_from_transactions([["a", "b"], ["b", "c", "d"], ["a", "b", "d"], ["d"]])
         db.support_of_mask(1)
-        copy = db._reading(supports.support_table(db))
+        copy = db._reading(supports.support_table(db, 1, 0)[0])
         # The empty mask, negative masks and masks past the universe too.
         for mask in range(-3, 1 << (db.width + 1)):
             assert copy.support_of_mask(mask) == db.support_of_mask(mask)
@@ -865,10 +845,16 @@ class TestSupportTable:
     def test_dense_walks_build_the_table_and_thin_walks_do_not(self, monkeypatch):
         built = []
         support_table = supports.support_table
-        monkeypatch.setattr(supports, "support_table", lambda db: built.append(db) or support_table(db))
+        monkeypatch.setattr(
+            supports,
+            "support_table",
+            lambda db, sigma, top: built.append((db, sigma, top)) or support_table(db, sigma, top),
+        )
         dense = parse_database(bench_dense_corpus(1))
         rare.mine_rare_masks(dense, MiningConfig(8))
-        assert built == [dense]
+        # The walk counts the 11-item level, makes the 10-item candidates with
+        # the Counter rule and takes those of 9 items and fewer from the table.
+        assert built == [(dense, 8, 9)]
         assert dense._supports is None
         built.clear()
         # Every 16-item subset of 20 items once: the walk at sigma 1 counts
@@ -890,11 +876,32 @@ class TestSupportTable:
         for size in (32_767, 32_768):
             cases.append((database_from_transactions([labels] * size), (1, size, size + 1)))
         for db, sigmas in cases:
-            assert supports.support_table(db).itemsize == (2 if len(db) < 1 << 15 else 4)
+            assert supports.support_table(db, 1, 0)[0].itemsize == (2 if len(db) < 1 << 15 else 4)
             got, scanned = table_counts(db)
             assert got == scanned
             for sigma in sigmas:
                 assert walk_with_table(db, sigma, True) == walk_with_table(db, sigma, False)
+
+    @pytest.mark.parametrize("sigma", [1, 8, 40])
+    def test_the_dense_corpus_walks_alike_with_and_without_the_table(self, sigma):
+        # 14 items, past the 12 the property test draws.
+        db = parse_database(bench_dense_corpus(1))
+        assert walk_with_table(db, sigma, True) == walk_with_table(db, sigma, False)
+
+    @pytest.mark.parametrize("size", [400, 1 << 15])
+    def test_a_sigma_far_above_every_support_keeps_every_mask(self, size):
+        # The table's threshold is min(sigma, |D| + 1), so a sigma past what
+        # a lane holds, for 2- and 4-byte lanes alike, still keeps every mask.
+        rng = random.Random(size)
+        labels = [f"i{n}" for n in range(5)]
+        rows = [[label for label in labels if rng.random() < 0.5] or labels[:1] for _ in range(size)]
+        db = database_from_transactions(rows)
+        for sigma in (10**6, 1 << 40):
+            config = MiningConfig(sigma)
+            with patch.object(rare, "_table_pays", lambda counted, width: True):
+                forced = rare.mine_rare_masks(db, config)
+            assert forced == rare.mine_rare_masks(db, config)
+            assert len(forced) == (1 << db.width) - 1
 
 
 def scanned_supports(db):
