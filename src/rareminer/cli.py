@@ -21,9 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .apriori import mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
-    Classification,
     ItemUniverseError,
-    MinedItemSet,
     TransactionDatabase,
     canonical_key,
     format_result_line,
@@ -108,19 +106,19 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
 
 
-def _write_output(lines: Sequence[str], path: Optional[str]) -> None:
-    text = "".join(lines)
+def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write each text chunk as it comes, to stdout or by `_write_file`."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         # Resolve a symlink first, so the link stays and its target gets the result.
-        _write_file(text, os.path.realpath(path))
+        _write_file(chunks, os.path.realpath(path))
     except OSError as exc:  # name the path given, not a resolved or temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _write_file(text: str, target: str) -> None:
+def _write_file(chunks: Iterable[str], target: str) -> None:
     """Replace the regular file `target`, or create it, atomically; write
     straight into any other existing `target`, such as a FIFO or a device,
     as a shell redirect would."""
@@ -134,7 +132,7 @@ def _write_file(text: str, target: str) -> None:
         mode = stat.S_IFREG | 0o666 & ~umask
     if not stat.S_ISREG(mode):
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     import tempfile
 
@@ -143,7 +141,7 @@ def _write_file(text: str, target: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -157,12 +155,12 @@ def _mine_file(
     args: argparse.Namespace,
     flag: str,
     threshold: int,
-    mine: Callable[[TransactionDatabase, int], list[str]],
+    mine: Callable[[TransactionDatabase, int], list[tuple[int, int]]],
 ) -> int:
     """Load `--input`, check `threshold` against it, mine and write.
 
-    `mine(db, threshold)` returns the result lines in output order, each
-    with its line feed.
+    `mine(db, threshold)` returns the `(mask, support)` pairs in output
+    order, and runs before anything is written.
     """
     if args.max_items < 1:
         raise _UsageError(f"--max-items must be at least 1, got {args.max_items}")
@@ -171,33 +169,24 @@ def _mine_file(
         raise _UsageError(
             f"{flag} must lie in [1, |D|+1] = [1, {len(db) + 1}], got {threshold}"
         )
-    _write_output(mine(db, threshold), args.output)
+    _write_output(db.format_lines(mine(db, threshold), threshold), args.output)
     return EXIT_OK
 
 
-def _result_lines(db: TransactionDatabase, results: Iterable[MinedItemSet]) -> list[str]:
-    line = db.format_line
-    return [line(r.itemset.mask, r.support, r.classification) for r in results]
-
-
 def _cmd_mine(args: argparse.Namespace) -> int:
-    def mine(db: TransactionDatabase, sigma: int) -> list[str]:
-        line, rare, nonpresent = db.format_line, Classification.RARE, Classification.NONPRESENT
-        pairs = mine_rare_masks(db, MiningConfig(sigma, emit=args.emit))
-        return [line(m, s, rare if s else nonpresent) for m, s in pairs]
-
-    return _mine_file(args, "--max-support", args.max_support, mine)
+    return _mine_file(args, "--max-support", args.max_support,
+                      lambda db, sigma: mine_rare_masks(db, MiningConfig(sigma, emit=args.emit)))
 
 
 def _cmd_frequent(args: argparse.Namespace) -> int:
     return _mine_file(args, "--min-support", args.min_support,
-                      lambda db, minsupp: _result_lines(db, mine_frequent(db, minsupp)))
+                      lambda db, minsupp: [(r.itemset.mask, r.support) for r in mine_frequent(db, minsupp)])
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    def classify(db: TransactionDatabase, sigma: int) -> list[str]:
+    def classify(db: TransactionDatabase, sigma: int) -> list[tuple[int, int]]:
         entries = sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset.mask, db))
-        return _result_lines(db, entries)
+        return [(e.itemset.mask, e.support) for e in entries]
 
     return _mine_file(args, "--max-support", args.max_support, classify)
 

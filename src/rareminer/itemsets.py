@@ -10,12 +10,13 @@ construction and safe to share across threads; every operation is a pure
 function. Two pieces of each database's state are built later, on first
 use, and never mutated after they are built: the support index, made on
 the first support count, and the text tables, made on the first text
-join (`render`, `format_line` and `canonical_key`'s fallback). The
-support index holds each item's tid-list (an int with a bit per
-transaction) in one 16-entry table per 4 items, whose entry b is the AND
-of the tid-lists of nibble b's items; it takes at most 4x the memory of
-the plain tid-lists. The text tables hold, per 8 items, each byte's
-labels as text, so a mask renders with one lookup per 8 items. Two
+join (`render`, `format_line`, `format_lines` and `canonical_key`'s
+fallback). The support index holds each item's tid-list (an int with a
+bit per transaction) in one 16-entry table per 4 items, whose entry b is
+the AND of the tid-lists of nibble b's items; it takes at most 4x the
+memory of the plain tid-lists. The text tables hold, per 8 items, each
+byte's labels as text, so a mask renders with one lookup per 8 items,
+and a chunk of result lines with one `map` per table. Two
 threads racing on a first use can at worst build the same piece twice,
 as identical copies. A walk that counts most of the lattice counts on a
 copy of its database that reads every support from one table (`_reading`);
@@ -29,6 +30,7 @@ frozen dataclass without the import cost of `dataclasses`.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain, islice, repeat
 from operator import add, and_, attrgetter, getitem
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -58,8 +60,8 @@ class Classification(Enum):
     NONPRESENT = "NONPRESENT"
 
     def __init__(self, value: str) -> None:
-        # A plain member attribute, read once per output line; `value` is
-        # a Python-level descriptor, many times slower to read.
+        # A plain member attribute, read for every line `format_line` makes;
+        # `value` is a Python-level descriptor, many times slower to read.
         self.tag = value
 
 
@@ -70,6 +72,17 @@ def classify_support(support: int, sigma: int) -> Classification:
     if support < sigma:
         return Classification.RARE
     return Classification.FREQUENT
+
+
+def _line_tail(support: int, classification: Classification) -> str:
+    """What follows the labels and their last space in a result line."""
+    return f": {support} {classification.tag}\n"
+
+
+# Lines per chunk of `TransactionDatabase.format_lines`, small enough to stay
+# in the CPU caches: 512 lines wrote the 1,047,463 lines of a 20-item `mine`
+# run about 1.4x as fast as 2^15 lines did, and no corpus measured was slower.
+_CHUNK_LINES = 1 << 9
 
 
 class _Frozen:
@@ -265,17 +278,34 @@ class TransactionDatabase:
         The labels are one text-table lookup per 8 items, so a result line
         needs no `ItemSet` and no loop over its members.
         """
-        return f"{self._joined(mask)}: {support} {classification.tag}\n"
+        return self._joined(mask) + _line_tail(support, classification)
+
+    def format_lines(self, pairs: Iterable[tuple[int, int]], threshold: int) -> Iterator[str]:
+        """`format_line` of each `(mask, support)` pair, classed by `classify_support(support,
+        threshold)`, in chunks of `_CHUNK_LINES` lines made with no Python call per line: one
+        `map` per text table over the masks' bytes, one tail per distinct support, one join."""
+        tables = self._texts or self._text_tables()
+        tails: dict[int, str] = {}
+        pairs = iter(pairs)
+        while chunk := list(islice(pairs, _CHUNK_LINES)):
+            masks, supports = zip(*chunk)
+            for s in set(supports).difference(tails):
+                tails[s] = _line_tail(s, classify_support(s, threshold))
+            columns = [map(table.__getitem__, byte) for table, byte in
+                       zip(tables, zip(*map(int.to_bytes, masks, repeat(len(tables)), repeat("big"))))]
+            columns.append(map(tails.__getitem__, supports))
+            yield "".join(chain.from_iterable(zip(*columns)))
 
     def _joined(self, mask: int) -> str:
-        """The rendered labels of `mask` plus one space, one lookup per 8 ids:
-        the text tables, highest byte first, map byte b to its labels in
-        ascending order, each followed by one space."""
-        tables = self._texts
-        if tables is None:
-            labels = [label + " " for label in self._labels]
-            tables = self._texts = _subset_tables(labels, 8, "", add)[::-1]
+        """The rendered labels of `mask` plus one space, one lookup per 8 ids."""
+        tables = self._texts or self._text_tables()
         return "".join(map(getitem, tables, mask.to_bytes(len(tables), "big")))
+
+    def _text_tables(self) -> list[list[str]]:
+        """Per 8 ids, highest byte first: byte b's labels, ascending, each plus one space."""
+        labels = [label + " " for label in self._labels]
+        self._texts = _subset_tables(labels, 8, "", add)[::-1]
+        return self._texts
 
     def support_of_mask(self, mask: int) -> int:
         """Number of transactions holding every item of `mask`.

@@ -704,17 +704,33 @@ def test_lone_carriage_return_stays_inside_its_line(run, tmp_path, argv):
     ("classify", "--max-support", "3"),
 ])
 def test_each_output_line_is_rendered_once(run, db_file, monkeypatch, argv):
-    rendered = []
-    format_line = TransactionDatabase.format_line
+    # Every output mask passes through one bulk `format_lines` call, once and
+    # in output order, and no line is made by a per-line call.
+    calls, formatted, per_line = [], [], []
+    format_lines = TransactionDatabase.format_lines
 
-    def counted(self, mask, support, classification):
-        rendered.append(mask)
-        return format_line(self, mask, support, classification)
+    def counted(self, pairs, threshold):
+        def passed():
+            for mask, support in pairs:
+                formatted.append(self.labels_of(mask))
+                yield mask, support
 
-    monkeypatch.setattr(TransactionDatabase, "format_line", counted)
+        calls.append(threshold)
+        return format_lines(self, passed(), threshold)
+
+    monkeypatch.setattr(TransactionDatabase, "format_lines", counted)
+    for name in ("format_line", "_joined"):
+        def spy(self, *args, name=name, method=getattr(TransactionDatabase, name)):
+            per_line.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(TransactionDatabase, name, spy)
     code, out, _ = run(*argv, "--input", db_file)
     assert code == 0 and out
-    assert len(rendered) == out.count("\n")
+    assert per_line == [] and len(calls) == 1
+    assert [" ".join(labels) for labels in formatted] == [
+        line[:line.rindex(" : ")] for line in out.splitlines()
+    ]
 
 
 # "a\x01" defeats the mask order (see `canonical_key`), so a database holding

@@ -20,15 +20,17 @@ from conftest import (
 )
 from rareminer import (
     DEFAULT_ITEM_CAP,
+    Classification,
     ItemSet,
     ItemUniverseError,
     TransactionDatabase,
     classify_all,
     database_from_transactions,
+    format_result_line,
     iter_supported,
     parse_database,
 )
-from rareminer.itemsets import canonical_key
+from rareminer.itemsets import _CHUNK_LINES, canonical_key, classify_support
 
 
 class TestParsing:
@@ -442,3 +444,66 @@ class TestLineEnds:
         lf = parse_database(text)
         assert crlf.labels == lf.labels == ("c", "b", "a")
         assert crlf.rows == lf.rows
+
+
+# The class each subcommand's lines take at `threshold`, and the supports
+# its results can have in a database of `n` rows.
+THRESHOLD_RULES = {
+    "mine": (lambda s, t: Classification.RARE if s else Classification.NONPRESENT,
+             lambda t, n: range(0, t)),
+    "frequent": (lambda s, t: Classification.FREQUENT, lambda t, n: range(t, n + 1)),
+    "classify": (classify_support, lambda t, n: range(0, n + 1)),
+}
+
+
+def _label_database(width: int, n_rows: int, seed: int) -> TransactionDatabase:
+    """`width` items, some labels non-ASCII and some holding U+0001, over
+    random rows, built through `max_items` past the default cap."""
+    rng = random.Random(seed)
+    shapes = ("i{}", "\u00e9{}", "a\x01{}", "\u65e5\u672c{}", "z{}\x01")
+    labels = [rng.choice(shapes).format(i) for i in range(width)]
+    rows = [[label for label in labels if rng.random() < 0.4] or labels[:1] for _ in range(n_rows)]
+    return parse_database("".join(" ".join(row) + "\n" for row in rows), max_items=width)
+
+
+def _per_line(db, pairs, classes) -> str:
+    return "".join(format_result_line(ItemSet(mask, db.width), support, classes(support), db) + "\n"
+                   for mask, support in pairs)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 24, 25, 33, 40])
+def test_format_lines_is_format_result_line_at_the_text_table_edges(width):
+    # A text table holds 8 items, so these widths fill, just miss and just
+    # pass one to five tables.
+    db = _label_database(width, 12, seed=width)
+    assert db.width == width
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    masks = [full, 1, 1 << width - 1] + [rng.randint(1, full) for _ in range(60)]
+    masks += [full ^ 1 << i for i in range(width) if full ^ 1 << i]
+    for name, (rule, supports) in THRESHOLD_RULES.items():
+        for threshold in range(1, len(db) + 2):
+            allowed = supports(threshold, len(db))
+            if not allowed:
+                continue
+            pairs = [(mask, rng.choice(allowed)) for mask in masks] + [(full, s) for s in allowed]
+            expected = _per_line(db, pairs, lambda s: rule(s, threshold))
+            assert "".join(db.format_lines(pairs, threshold)) == expected, (name, threshold)
+            assert "".join(db.format_line(m, s, rule(s, threshold)) for m, s in pairs) == expected
+
+
+def test_format_lines_of_no_pairs_is_no_chunk():
+    db = _label_database(9, 5, seed=1)
+    assert list(db.format_lines([], 3)) == []
+    assert list(db.format_lines(iter(()), 3)) == []
+
+
+def test_format_lines_splits_one_pair_past_the_chunk_size_into_two_chunks():
+    db = _label_database(17, 8, seed=2)
+    rng = random.Random(2)
+    pairs = [(rng.randint(1, (1 << 17) - 1), rng.randint(0, len(db))) for _ in range(_CHUNK_LINES + 1)]
+    # A generator: the formatter must not need the length of its pairs.
+    chunks = list(db.format_lines((pair for pair in pairs), 4))
+    assert [chunk.count("\n") for chunk in chunks] == [_CHUNK_LINES, 1]
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == _per_line(db, pairs, lambda s: classify_support(s, 4))
