@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 # The benchmark's tracer replaces names at the module each caller looks them
 # up in, so this module keeps binding every name it patches here, the unused
-# `mine_rare` and `format_result_line` included.
+# `canonical_key`, `mine_rare` and `format_result_line` included.
 from .apriori import mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
@@ -35,7 +35,7 @@ from .monitor import (
     parse_events,
     replay,
 )
-from .rare import EMIT_BOTH, EMIT_CHOICES, MiningConfig, mine_rare, mine_rare_masks
+from .rare import EMIT_BOTH, EMIT_CHOICES, MiningConfig, _ordered, mine_rare, mine_rare_masks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -185,8 +185,12 @@ def _cmd_frequent(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     def classify(db: TransactionDatabase, sigma: int) -> list[tuple[int, int]]:
-        entries = sorted(classify_all(db, sigma), key=lambda e: canonical_key(e.itemset.mask, db))
-        return [(e.itemset.mask, e.support) for e in entries]
+        # The dump is in ascending mask order, so each cardinality's level is too.
+        levels: list[dict[int, int]] = [{} for _ in range(db.width)]
+        for entry in classify_all(db, sigma):
+            mask = entry.itemset.mask
+            levels[mask.bit_count() - 1][mask] = entry.support
+        return _ordered(levels, db)
 
     return _mine_file(args, "--max-support", args.max_support, classify)
 

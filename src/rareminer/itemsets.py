@@ -3,24 +3,24 @@
 The item universe of a database is its distinct item labels, with ids in
 descending label order. An item-set is a fixed-width bit-vector over that
 universe, so subset tests and intersections are single integer operations,
-and within one cardinality a larger mask renders smaller: a mask compares
-like its rendered labels, and ids, masks and ascending-mask orders do not
-depend on the order of the input. All types here are immutable after
-construction and safe to share across threads; every operation is a pure
-function. Two pieces of each database's state are built later, on first
-use, and never mutated after they are built: the support index, made on
-the first support count, and the text tables, made on the first text
-join (`render`, `format_line`, `format_lines` and `canonical_key`'s
-fallback). The support index holds each item's tid-list (an int with a
-bit per transaction) in one 16-entry table per 4 items, whose entry b is
-the AND of the tid-lists of nibble b's items; it takes at most 4x the
-memory of the plain tid-lists. The text tables hold, per 8 items, each
-byte's labels as text, so a mask renders with one lookup per 8 items,
-and a chunk of result lines with one `map` per table. Two
-threads racing on a first use can at worst build the same piece twice,
-as identical copies. A walk that counts most of the lattice counts on a
-copy of its database that reads every support from one table (`_reading`);
-the database it copied is not changed.
+and within one cardinality a larger mask renders smaller, unless a label
+defeats it (`TransactionDatabase._mask_keys`); ids, masks and ascending-mask
+orders do not depend on the order of the input. All types here are
+immutable after construction and safe to share across threads; every
+operation is a pure function. Two pieces of each database's state are
+built later, on first use, and never mutated after they are built: the
+support index, made on the first support count, and the text tables, made
+on the first text join (`render`, `format_lines` and `canonical_key`).
+The support index holds each item's tid-list (an int with a bit per
+transaction) in one 16-entry table per 4 items, whose entry b is the AND
+of the tid-lists of nibble b's items; it takes at most 4x the memory of
+the plain tid-lists. The text tables hold, per 8 items, each byte's labels
+as text, so a mask renders with one lookup per 8 items, and a chunk of
+result lines with one `map` per table. Two threads racing on a first use
+can at worst build the same piece twice, as identical copies. A walk that
+counts most of the lattice counts on a copy of its database that reads
+every support from one table (`_reading`); the database it copied is not
+changed.
 
 The package's value types derive from `_Frozen`, which gives a class with
 `__slots__` the immutability, equality, hashing, repr and pickling of a
@@ -32,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import chain, islice, repeat
 from operator import add, and_, attrgetter, getitem
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # Mining rare and non-present item-sets walks from the full item-set down to
 # single items, and the number of rare plus non-present item-sets can approach
@@ -60,8 +60,8 @@ class Classification(Enum):
     NONPRESENT = "NONPRESENT"
 
     def __init__(self, value: str) -> None:
-        # A plain member attribute, read for every line `format_line` makes;
-        # `value` is a Python-level descriptor, many times slower to read.
+        # A plain member attribute, read for every line `format_result_line`
+        # makes; `value` is a Python-level descriptor, many times slower to read.
         self.tag = value
 
 
@@ -72,11 +72,6 @@ def classify_support(support: int, sigma: int) -> Classification:
     if support < sigma:
         return Classification.RARE
     return Classification.FREQUENT
-
-
-def _line_tail(support: int, classification: Classification) -> str:
-    """What follows the labels and their last space in a result line."""
-    return f": {support} {classification.tag}\n"
 
 
 # Lines per chunk of `TransactionDatabase.format_lines`, small enough to stay
@@ -218,7 +213,11 @@ class TransactionDatabase:
         # Per 8 ids, highest first, each byte's labels as text, built on the
         # first text join.
         self._texts: Optional[list[list[str]]] = None
-        # Whether `canonical_key` can be its int form; see there.
+        # Whether a larger mask renders smaller within each cardinality, so
+        # that output needs no sort (`rare._ordered`). Ids run in descending
+        # label order, so it holds unless some label is empty or holds a
+        # character at or below U+0020, the joining space: only such a label
+        # lets a joined label sequence sort between a label and its extensions.
         self._mask_keys = all(label and min(label) > " " for label in labels)
 
     @property
@@ -272,25 +271,17 @@ class TransactionDatabase:
             raise ValueError("item-set width does not match this database")
         return self._joined(itemset.mask)[:-1]
 
-    def format_line(self, mask: int, support: int, classification: Classification) -> str:
-        """`format_result_line` of the non-empty item-set `mask`, and a line feed.
-
-        The labels are one text-table lookup per 8 items, so a result line
-        needs no `ItemSet` and no loop over its members.
-        """
-        return self._joined(mask) + _line_tail(support, classification)
-
     def format_lines(self, pairs: Iterable[tuple[int, int]], threshold: int) -> Iterator[str]:
-        """`format_line` of each `(mask, support)` pair, classed by `classify_support(support,
-        threshold)`, in chunks of `_CHUNK_LINES` lines made with no Python call per line: one
-        `map` per text table over the masks' bytes, one tail per distinct support, one join."""
+        """`format_result_line` of each `(mask, support)` pair, classed by `classify_support(support,
+        threshold)`, plus a line feed, in chunks of `_CHUNK_LINES` lines made with no Python call per
+        line: one `map` per text table over the masks' bytes, one tail per distinct support, one join."""
         tables = self._texts or self._text_tables()
         tails: dict[int, str] = {}
         pairs = iter(pairs)
         while chunk := list(islice(pairs, _CHUNK_LINES)):
             masks, supports = zip(*chunk)
             for s in set(supports).difference(tails):
-                tails[s] = _line_tail(s, classify_support(s, threshold))
+                tails[s] = f": {s} {classify_support(s, threshold).tag}\n"
             columns = [map(table.__getitem__, byte) for table, byte in
                        zip(tables, zip(*map(int.to_bytes, masks, repeat(len(tables)), repeat("big"))))]
             columns.append(map(tails.__getitem__, supports))
@@ -468,26 +459,15 @@ def _build(
     return TransactionDatabase(labels, rows)
 
 
-def canonical_key(mask: int, db: TransactionDatabase) -> Union[int, tuple[int, str]]:
-    """Sort key of item-set `mask` in all emitted output: cardinality, then
-    rendered labels.
+def canonical_key(mask: int, db: TransactionDatabase) -> tuple[int, str]:
+    """Sort key of item-set `mask` in all emitted output: `(cardinality,
+    rendered labels)`.
 
-    Ids run in descending label order, so the smallest label sits on the
-    highest bit, and within one cardinality a larger mask renders smaller.
-    The key is therefore one int, `cardinality << width | (full ^ mask)`,
-    with no lookups. That is the rendered order only when no label is empty
-    or holds a character at or below U+0020 (the joining space), because
-    then no joined label sequence can sort between a label and its
-    extensions. A database with such a label gets the `(cardinality,
-    rendered labels)` tuple instead, whose text drops the joining space
-    after the last label: with it, the label `a` would sort after `a`
-    followed by U+0001. The check is made once per database. Keys compare
-    only within one database.
+    The text drops the joining space after the last label: with it, the
+    label `a` would sort after `a` followed by U+0001. Keys compare only
+    within one database.
     """
-    if not db._mask_keys:
-        return (mask.bit_count(), db._joined(mask)[:-1])
-    width = db.width
-    return mask.bit_count() << width | ((1 << width) - 1 ^ mask)
+    return (mask.bit_count(), db._joined(mask)[:-1])
 
 
 def format_result_line(

@@ -63,15 +63,8 @@ the rule's count, measured on 400 random rows at sigma 1 with CPython
 
 On the benchmark's dense corpus (14 items x 400 rows, sigma 8) the walk
 counts its top four levels, 470 masks, one by one and the other 12,993
-on the table. Against the walk that made dense levels' candidates in a
-bitmap of one bit per mask and read none off the table (medians of 40
-interleaved pairs in process, parsing included): `mine_rare` 0.92,
-`mine_rare_masks` 0.83 at sigma 8 and 0.78 at sigma 40, 0.77 and 0.85
-on the Zipf corpus cut to 18 and 20 items at sigma 20, and 1.00 and 1.02
-for the dense sigma 1 walk (`emit=nonpresent`) of seeds 1 and 5. A walk
-that stops one level below a full top, such as that of every 16-item
-subset of 20 items at sigma 1, never switches; the `Counter` rule alone
-takes it to 1.02 (`emit=both`) and 1.06 (`emit=nonpresent`).
+on the table. A walk that stops one level below a full top, such as that
+of every 16-item subset of 20 items at sigma 1, never switches.
 """
 
 from __future__ import annotations
@@ -308,11 +301,13 @@ def mine_rare_masks(db: TransactionDatabase, config: MiningConfig) -> list[tuple
 def _ordered(levels: Iterable[dict[int, int]], db: TransactionDatabase) -> list[tuple[int, int]]:
     """`{mask: support}` levels, smallest cardinality first, as pairs in output order.
 
-    Every miner's output order is (cardinality, rendered labels). Each level
-    holds one cardinality in ascending mask order, as every walk's levels
-    do, and item ids run in descending label order, so each level is read
-    backwards. Only when `db._mask_keys` is false, as some label defeats
-    the mask order, are the pairs sorted, by `canonical_key`.
+    Every file subcommand's output order is (cardinality, rendered labels).
+    Each level holds one cardinality in ascending mask order, as every
+    walk's levels and `classify_all`'s dump split by cardinality do. Item
+    ids run in descending label order, so within one cardinality a larger
+    mask renders smaller, and each level is read backwards. Only when
+    `db._mask_keys` is false, as some label defeats that (see there), are
+    the pairs sorted, by `canonical_key`.
     """
     pairs = [pair for level in levels for pair in reversed(level.items())]
     if not db._mask_keys:

@@ -1,17 +1,21 @@
-"""The int sort key orders every result exactly as its rendered labels do.
+"""Every miner's output, and `canonical_key`, order item-sets exactly as
+their rendered labels do.
 
-Item ids run in descending label order, so `canonical_key` is one int made
-from the mask, falling back to `(cardinality, rendered labels)` when some
-label is empty or holds a character at or below U+0020. These properties
-compare it, `labels_of`, which walks the set bits, and `render`, with a
-naive rendering over label pools built around the edge cases: control
-characters, labels that are prefixes of others, labels holding a space,
-and non-ASCII labels. Universes run past 8 and 16 items, where the text
-join's per-byte tables, the only lookup tables here, change byte.
+Item ids run in descending label order, so the miners read their levels
+out in mask order, and sort on `canonical_key`, `(cardinality, rendered
+labels)`, only when some label is empty or holds a character at or below
+U+0020. These properties compare that order, `labels_of`, which walks the
+set bits, and `render`, with a naive rendering over label pools built
+around the edge cases: control characters, labels that are prefixes of
+others, labels holding a space, and non-ASCII labels. Universes run past 8
+and 16 items, where the text join's per-byte tables, the only lookup
+tables here, change byte.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import pytest
@@ -19,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rareminer.apriori as apriori
+import rareminer.cli as cli
 import rareminer.rare as rare
 from rareminer import (
     EMIT_BOTH,
@@ -38,8 +43,8 @@ EDGE_LABELS = (
     "i1", "i10", "i1-", "i1_", "é", "éa", "z", "Ω", "a ",
 )
 # Short labels over small alphabets often share prefixes. The first pool has
-# no character at or below U+0020, so its databases get the int key; a space
-# inside a label, a control character or an empty label needs the fallback.
+# no character at or below U+0020, so its databases keep the mask order; a
+# space inside a label, a control character or an empty label needs the sort.
 POOLS = (
     ("ab!é", tuple(lab for lab in EDGE_LABELS if lab and min(lab) > " ")),
     ("a! ", tuple(lab for lab in EDGE_LABELS if lab and min(lab) >= " ")),
@@ -78,7 +83,7 @@ def databases(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(databases(), st.data())
-def test_int_key_sorts_like_rendered_labels(db, data):
+def test_results_and_keys_sort_like_rendered_labels(db, data):
     sigma = data.draw(st.integers(1, len(db) + 1))
     emits = [EMIT_RARE] + ([EMIT_NONPRESENT, EMIT_BOTH] if db.width <= LATTICE_WIDTH else [])
     mined = [mine_rare(db, MiningConfig(sigma, emit=emit)) for emit in emits]
@@ -116,7 +121,7 @@ def test_fallback_key_compares_the_labels_without_a_trailing_space():
 @pytest.mark.parametrize(
     "labels, sorts", [(("a", "a1", "b"), False), (("a", "a\x01", "b"), True)], ids=["masks", "fallback"]
 )
-def test_miners_sort_on_a_key_only_when_labels_rule_out_mask_order(monkeypatch, labels, sorts):
+def test_miners_sort_on_a_key_only_when_labels_rule_out_mask_order(monkeypatch, tmp_path, labels, sorts):
     # The rare and frequent results hold "a b" and "a1 b" (or "a\x01 b").
     # Mask order puts "a b" first: right beside "a1 b", wrong beside "a\x01 b".
     a, second, b = labels
@@ -134,3 +139,14 @@ def test_miners_sort_on_a_key_only_when_labels_rule_out_mask_order(monkeypatch, 
     for results in mined:
         assert results == sorted(results, key=lambda r: naive_key(db, r.itemset))
     assert len(keyed) == (sum(map(len, mined)) if sorts else 0)
+    # CLI `classify` reads the referee's dump out through the same path.
+    keyed.clear()
+    path = tmp_path / "db.txt"
+    path.write_text(f"{a} {b}\n{second} {b}\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["classify", "--input", str(path), "--max-support", "2"]) == 0
+    heads = [line[:line.rindex(" : ")] for line in out.getvalue().splitlines()]
+    assert len(heads) == 7
+    assert heads == sorted(heads, key=lambda head: (len(head.split(" ")), head))
+    assert len(keyed) == (len(heads) if sorts else 0)

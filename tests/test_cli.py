@@ -719,12 +719,12 @@ def test_each_output_line_is_rendered_once(run, db_file, monkeypatch, argv):
         return format_lines(self, passed(), threshold)
 
     monkeypatch.setattr(TransactionDatabase, "format_lines", counted)
-    for name in ("format_line", "_joined"):
-        def spy(self, *args, name=name, method=getattr(TransactionDatabase, name)):
-            per_line.append(name)
-            return method(self, *args)
 
-        monkeypatch.setattr(TransactionDatabase, name, spy)
+    def spy(self, *args, method=TransactionDatabase._joined):
+        per_line.append("_joined")
+        return method(self, *args)
+
+    monkeypatch.setattr(TransactionDatabase, "_joined", spy)
     code, out, _ = run(*argv, "--input", db_file)
     assert code == 0 and out
     assert per_line == [] and len(calls) == 1
@@ -733,8 +733,9 @@ def test_each_output_line_is_rendered_once(run, db_file, monkeypatch, argv):
     ]
 
 
-# "a\x01" defeats the mask order (see `canonical_key`), so a database holding
-# it takes the sorted fallback; one without it keeps the mask order.
+# "a\x01" defeats the mask order (see `TransactionDatabase._mask_keys`), so a
+# database holding it takes the sorted fallback; one without it keeps the mask
+# order.
 LINE_LABELS = ("a", "a1", "a\x01", "b", "\u00e9")
 
 

@@ -374,6 +374,11 @@ class TestRendering:
         assert worked_db.render(ItemSet(0, 5)) == ""
         assert worked_db.render(worked_db.itemset_from_labels("ecba")) == "a b c e"
 
+    def test_render_refuses_an_itemset_of_another_width(self, worked_db):
+        for width in (4, 6):
+            with pytest.raises(ValueError, match="width does not match this database"):
+                worked_db.render(ItemSet(1, width))
+
     def test_render_independent_of_interning_order(self):
         # same transactions, different first-appearance order
         first = parse_database("a b\nb c\n")
@@ -489,7 +494,6 @@ def test_format_lines_is_format_result_line_at_the_text_table_edges(width):
             pairs = [(mask, rng.choice(allowed)) for mask in masks] + [(full, s) for s in allowed]
             expected = _per_line(db, pairs, lambda s: rule(s, threshold))
             assert "".join(db.format_lines(pairs, threshold)) == expected, (name, threshold)
-            assert "".join(db.format_line(m, s, rule(s, threshold)) for m, s in pairs) == expected
 
 
 def test_format_lines_of_no_pairs_is_no_chunk():

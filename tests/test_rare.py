@@ -41,6 +41,7 @@ from rareminer import (
     prune_candidates,
     replay,
 )
+from rareminer.apriori import iter_supported
 from rareminer.itemsets import classify_support
 
 SIGMA = 3
@@ -921,13 +922,13 @@ def scanned_supports(db):
 
 
 @st.composite
-def wide_cases(draw):
-    """(database over 17-20 items with rows of at most 8, sigma in [1, |D|+2])."""
-    universe = [f"w{n:02d}" for n in range(draw(st.integers(17, 20)))]
+def wide_cases(draw, low=17, high=20):
+    """(database over `low`-`high` items with rows of at most 8, sigma in [1, |D|+2])."""
+    universe = [f"w{n:02d}" for n in range(draw(st.integers(low, high)))]
     rows = draw(st.lists(
         st.lists(st.sampled_from(universe), min_size=1, max_size=8), max_size=30
     ))
-    db = database_from_transactions(rows, universe=universe)
+    db = database_from_transactions(rows, universe=universe, max_items=len(universe))
     return db, draw(st.integers(1, len(db) + 2))
 
 
@@ -957,6 +958,24 @@ class TestWideReferee:
         nonpresent = rare.mine_rare_masks(db, MiningConfig(sigma, emit="nonpresent"))
         assert len({mask for mask, _ in nonpresent}) == len(nonpresent) == len(seen) - 1 - len(scanned)
         assert all(support == 0 and mask not in scanned for mask, support in nonpresent)
+
+    # Past 20 items only the walks over present item-sets run: up to 2^8
+    # per row, whatever the width. 100 examples take about 1 s.
+    @settings(deadline=None, max_examples=100)
+    @given(wide_cases(21, 40))
+    def test_present_walks_past_20_items_are_the_scan_in_label_order(self, case):
+        db, sigma = case
+        scanned = scanned_supports(db)
+
+        def naive(pairs):
+            labels = {mask: sorted(db.labels[i] for i in range(db.width) if mask >> i & 1) for mask, _ in pairs}
+            return sorted(pairs, key=lambda pair: (len(labels[pair[0]]), " ".join(labels[pair[0]])))
+
+        assert rare.mine_rare_masks(db, MiningConfig(sigma, emit="rare")) == naive(
+            [(mask, support) for mask, support in scanned.items() if support < sigma])
+        assert [(r.itemset.mask, r.support) for r in mine_frequent(db, sigma)] == naive(
+            [(mask, support) for mask, support in scanned.items() if support >= sigma])
+        assert rare._ordered(iter_supported(db, 1), db) == naive(list(scanned.items()))
 
 
 def counting(db):

@@ -15,6 +15,7 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,45 @@ def test_a_reader_that_stops_early_fails_the_run(tmp_path):
     proc.stderr.close()
     assert proc.wait(60) == 1
     assert err == f"rareminer: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n".encode()
+
+
+def _old_file_is_left_alone(tmp_path) -> None:
+    """`_make_target("file", tmp_path)` keeps its old bytes and mode, and no temp file is left."""
+    target = tmp_path / "out.txt"
+    assert target.read_bytes() == OLD_BYTES
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("out.txt.")] == []
+
+
+def test_a_write_past_the_file_size_limit_leaves_the_old_file(tmp_path):
+    # Past RLIMIT_FSIZE a write fails with EFBIG; CPython ignores SIGXFSZ.
+    resource = pytest.importorskip("resource")
+    rng = random.Random(27)
+    (tmp_path / "db.txt").write_text("".join(" ".join(i for i in "abcdefghijkl" if rng.random() < 0.5) + " a\n"
+                                             for _ in range(40)))
+    _make_target("file", tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(rareminer.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    # |D| + 1 keeps all 4,095 item-sets, about 100 kB of lines.
+    proc = subprocess.run(
+        [sys.executable, "-m", "rareminer.cli", "mine", "--input", "db.txt", "--max-support", "41",
+         "--output", "out.txt"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (20_000, 20_000)),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == f"rareminer: error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: 'out.txt'\n".encode()
+    _old_file_is_left_alone(tmp_path)
+
+
+def test_an_interrupted_write_leaves_the_old_file(tmp_path):
+    def chunks():
+        yield "a b : 1 RARE\n"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_output(chunks(), _make_target("file", tmp_path))
+    _old_file_is_left_alone(tmp_path)
 
 
 # Tokens that stress the input reader: NUL, U+0001, non-ASCII text and a
