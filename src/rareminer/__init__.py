@@ -7,44 +7,28 @@ miner, an exhaustive lattice classifier, and an event-window monitor that
 alerts on recurring rare patterns round out the toolkit.
 """
 
-from .apriori import iter_supported, join_candidates, mine_frequent
-from .itemsets import (
-    DEFAULT_ITEM_CAP,
-    Classification,
-    ItemSet,
-    ItemUniverseError,
-    MinedItemSet,
-    TransactionDatabase,
-    database_from_transactions,
-    format_result_line,
-    parse_database,
-)
-from .lattice import classify_all, coverage
-from .monitor import (
-    Alert,
-    Event,
-    EventWindowConfig,
-    ParsedEvents,
-    PatternRecurrence,
-    ReplayOrderError,
-    WindowReport,
-    format_alert_line,
-    parse_events,
-    replay,
-    run_window,
-)
-from .rare import (
-    EMIT_BOTH,
-    EMIT_NONPRESENT,
-    EMIT_RARE,
-    LevelState,
-    MiningConfig,
-    evaluate_candidates,
-    generate_candidates,
-    iter_levels,
-    mine_rare,
-    prune_candidates,
-)
+from importlib import import_module
+
+# Each public name's home module. A name's module is imported on its first
+# lookup, which binds the name here, so `import rareminer` loads no module
+# and each CLI subcommand loads only what it runs.
+_EXPORTS = {
+    "apriori": ("iter_supported", "join_candidates", "mine_frequent"),
+    "itemsets": (
+        "DEFAULT_ITEM_CAP", "Classification", "ItemSet", "ItemUniverseError", "MinedItemSet",
+        "TransactionDatabase", "database_from_transactions", "format_result_line", "parse_database",
+    ),
+    "lattice": ("classify_all", "coverage"),
+    "monitor": (
+        "Alert", "Event", "EventWindowConfig", "ParsedEvents", "PatternRecurrence", "ReplayOrderError",
+        "WindowReport", "format_alert_line", "parse_events", "replay", "run_window",
+    ),
+    "rare": (
+        "EMIT_BOTH", "EMIT_NONPRESENT", "EMIT_RARE", "LevelState", "MiningConfig",
+        "evaluate_candidates", "generate_candidates", "iter_levels", "mine_rare", "prune_candidates",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "DEFAULT_ITEM_CAP",
@@ -83,3 +67,16 @@ __all__ = [
     "replay",
     "run_window",
 ]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, as `rareminer.monitor` after `import rareminer`
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

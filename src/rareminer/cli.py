@@ -13,12 +13,8 @@ import argparse
 import os
 import stat
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-# The benchmark's tracer replaces names at the module each caller looks them
-# up in, so this module keeps binding every name it patches here, the unused
-# `canonical_key`, `mine_rare` and `format_result_line` included.
-from .apriori import mine_frequent
 from .itemsets import (
     DEFAULT_ITEM_CAP,
     ItemUniverseError,
@@ -27,19 +23,43 @@ from .itemsets import (
     format_result_line,
     parse_database,
 )
-from .lattice import classify_all
-from .monitor import (
-    EventWindowConfig,
-    ReplayOrderError,
-    format_alert_line,
-    parse_events,
-    replay,
-)
 from .rare import EMIT_BOTH, EMIT_CHOICES, MiningConfig, _ordered, mine_rare, mine_rare_masks
+
+if TYPE_CHECKING:
+    from .itemsets import MinedItemSet
+    from .monitor import AlertSink, Event, EventWindowConfig, ParsedEvents, WindowReport
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
+
+# The benchmark's tracer replaces names at the module each caller looks them
+# up in, so this module keeps binding every name it patches here, the unused
+# `canonical_key`, `mine_rare` and `format_result_line` included. The four
+# below import their namesake's module on call, so a subcommand loads only
+# what it runs; once the tracer reads the program's own counters (ROADMAP
+# item 2), they can become plain imports inside their subcommands.
+
+
+def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[MinedItemSet]:
+    from . import apriori
+    return apriori.mine_frequent(db, minsupp)
+
+
+def classify_all(db: TransactionDatabase, sigma: int, *, max_items: int = 16) -> list[MinedItemSet]:
+    from . import lattice  # the default is lattice.ORACLE_ITEM_CAP
+    return lattice.classify_all(db, sigma, max_items=max_items)
+
+
+def parse_events(text: str) -> ParsedEvents:
+    from . import monitor
+    return monitor.parse_events(text)
+
+
+def replay(events: Iterable[Event], config: EventWindowConfig,
+           alert_sink: Optional[AlertSink] = None) -> list[WindowReport]:
+    from . import monitor
+    return monitor.replay(events, config, alert_sink)
 
 
 class _UsageError(Exception):
@@ -196,22 +216,24 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
+    from .monitor import EventWindowConfig, ReplayOrderError, format_alert_line
+
     for flag, value in (("--max-support", args.max_support),
                         ("--cycles", args.cycles),
                         ("--cycle-duration", args.cycle_duration)):
         if value < 1:
             raise _UsageError(f"{flag} must be at least 1, got {value}")
-    parsed = parse_events(_read_text(args.events))
-    for lineno, line in parsed.malformed:
-        _warn(f"skipping malformed event line {lineno}: {line!r}")
-    if parsed.malformed:
-        _warn(f"skipped {parsed.skipped} malformed event line(s)")
-    config = EventWindowConfig(args.max_support, args.cycles, args.cycle_duration, args.store)
-    reports = replay(
-        parsed.events,
-        config,
-        alert_sink=lambda alert: sys.stdout.write(format_alert_line(alert) + "\n"),
-    )
+    try:  # both the parse and the replay refuse a timestamp that goes back
+        parsed = parse_events(_read_text(args.events))
+        for lineno, line in parsed.malformed:
+            _warn(f"skipping malformed event line {lineno}: {line!r}")
+        if parsed.malformed:
+            _warn(f"skipped {parsed.skipped} malformed event line(s)")
+        config = EventWindowConfig(args.max_support, args.cycles, args.cycle_duration, args.store)
+        reports = replay(parsed.events, config,
+                         alert_sink=lambda alert: sys.stdout.write(format_alert_line(alert) + "\n"))
+    except ReplayOrderError as exc:
+        raise _UsageError(str(exc)) from None
     skipped_cycles = [
         (report.window_start, cycle, n_items)
         for report in reports
@@ -241,7 +263,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ItemUniverseError, ReplayOrderError) as exc:
+    except (_UsageError, ItemUniverseError) as exc:
         print(f"rareminer: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import importlib
+import inspect
 import io
 import json
 import os
@@ -19,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rareminer
+import rareminer.cli as cli
 from conftest import WORKED_DB_TEXT
 from rareminer import (
     ItemSet,
     MinedItemSet,
     MiningConfig,
+    ReplayOrderError,
     TransactionDatabase,
     classify_all,
     format_result_line,
@@ -397,10 +401,32 @@ class TestMonitor:
 
     def test_non_monotone_events_are_usage_error(self, run, tmp_path):
         events = self.write_events(tmp_path, "900 x\n100 y\n")
-        store = str(tmp_path / "store.jsonl")
-        code, _, err = run(*self.monitor_args(events, store))
+        store = tmp_path / "store.jsonl"
+        code, out, err = run(*self.monitor_args(events, str(store)))
         assert code == 2
         assert "non-monotone" in err
+        assert (out, err) == ("", "rareminer: error: non-monotone timestamps in replay: line 2 has 100 after 900\n")
+        assert not store.exists()
+
+    @pytest.mark.parametrize("name", ["parse_events", "replay"])
+    def test_only_an_order_error_is_a_usage_error(self, run, tmp_path, monkeypatch, name):
+        # Both the parse and the replay refuse a timestamp that goes back, and
+        # exit 2 says so; any other ValueError is a fault, and propagates.
+        events = self.write_events(tmp_path)
+        store = tmp_path / "store.jsonl"
+
+        def raising(exc):
+            def fail(*args, **kwargs):
+                raise exc
+            return fail
+
+        monkeypatch.setattr(cli, name, raising(ReplayOrderError("event at 5 ms precedes its window's start at 9 ms")))
+        assert run(*self.monitor_args(events, str(store))) == (
+            2, "", "rareminer: error: event at 5 ms precedes its window's start at 9 ms\n")
+        monkeypatch.setattr(cli, name, raising(ValueError("not an order error")))
+        with pytest.raises(ValueError, match="^not an order error$"):
+            main(self.monitor_args(events, str(store)))
+        assert not store.exists()
 
     def test_malformed_lines_warn_on_stderr(self, run, tmp_path):
         events = self.write_events(tmp_path, "junk\n0 a\n500 a\n500 a\n")
@@ -624,26 +650,59 @@ def test_non_utf8_input_is_usage_error(tmp_path, argv):
     assert not out.exists()
 
 
-def test_importing_the_cli_loads_no_json_logging_or_dataclasses(db_file):
+def test_a_value_error_from_mining_is_not_a_usage_error(db_file, monkeypatch):
+    # Exit 2 means bad input or arguments; an unexpected ValueError is a
+    # fault, so it propagates rather than being reported as a usage error.
+    def fail(db, config):
+        raise ValueError("mining failed")
+
+    monkeypatch.setattr(cli, "mine_rare_masks", fail)
+    with pytest.raises(ValueError, match="^mining failed$"):
+        main(["mine", "--input", db_file, "--max-support", "3"])
+
+
+def test_the_cli_stand_ins_keep_their_namesakes_signatures():
+    # `cli` binds these four for the benchmark's tracer and imports the
+    # module that does the work only when one is called.
+    for home, name in (("apriori", "mine_frequent"), ("lattice", "classify_all"),
+                       ("monitor", "parse_events"), ("monitor", "replay")):
+        real = getattr(importlib.import_module(f"rareminer.{home}"), name)
+        assert inspect.signature(getattr(cli, name)) == inspect.signature(real), name
+
+
+def test_importing_the_cli_loads_no_json_logging_or_dataclasses(tmp_path, db_file):
     # Only the monitor writes JSON, and nothing logs; `mine`, `frequent` and
     # `classify` should not pay for importing either. Nor should any run pay
     # for `dataclasses`, which imports `inspect`, `ast` and `dis`, and a run
     # to standard output not for `tempfile` or `pathlib`. A walk too thin
     # to build the support table, and Apriori, which builds none, should not
-    # load `rareminer.supports`. -S keeps site-packages hooks out.
+    # load `rareminer.supports`. Nor does a subcommand load the package's
+    # modules that it does not run. -S keeps site-packages hooks out.
     src = str(Path(rareminer.__file__).parents[1])
-    for argv in (["mine", "--max-support", "3"], ["frequent", "--min-support", "3"]):
+    events = tmp_path / "events.txt"
+    events.write_text(TestMonitor.EVENTS)
+    unloaded = {"logging", "dataclasses", "inspect", "tempfile", "pathlib"}
+    files = unloaded | {"json", "rareminer.supports"}
+    runs = [
+        (["mine", "--max-support", "3", "--input", db_file], files, ["apriori", "lattice", "monitor"]),
+        (["frequent", "--min-support", "3", "--input", db_file], files, ["lattice", "monitor"]),
+        (["classify", "--max-support", "3", "--input", db_file], files, ["apriori", "monitor", "supports"]),
+        (["monitor", "--max-support", "2", "--cycles", "3", "--cycle-duration", "1000",
+          "--store", str(tmp_path / "store.jsonl"), "--events", str(events)],
+         unloaded, ["apriori", "lattice", "supports"]),
+    ]
+    for argv, forbidden, modules in runs:
+        forbidden = forbidden | {f"rareminer.{name}" for name in modules}
         code = (
             f"import sys; sys.path.insert(0, {src!r}); from rareminer.cli import main; "
-            f"code = main({argv + ['--input', db_file]!r}); "
-            "loaded = {'json', 'logging', 'dataclasses', 'inspect', 'tempfile', 'pathlib', "
-            "'rareminer.supports'} & set(sys.modules); "
-            "print(code, sorted(loaded), file=sys.stderr)"
+            f"code = main({argv!r}); "
+            f"loaded = [name for name in {sorted(forbidden)!r} if name in sys.modules]; "
+            "print(code, loaded, file=sys.stderr)"
         )
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout
-        assert proc.stderr == "0 []\n"
+        assert proc.stdout, argv[0]
+        assert proc.stderr == "0 []\n", argv[0]
 
 
 def test_control_character_labels_keep_joined_string_order(run, tmp_path):
