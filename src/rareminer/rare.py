@@ -21,14 +21,18 @@ walks only what it can emit plus the border that stops it, and no result
 is filtered after a walk.
 
 The two walks here and Apriori's `iter_supported` carry bare masks. Every
-level of all three is counted by `evaluate_candidates` into two
+level of the two walks here is counted by `evaluate_candidates` into two
 `{mask: support}` dicts, below sigma and at or above it; the top-down walk
-makes its next level from the first dict's keys. Each walk gives one dict
-per cardinality, in ascending mask order, and `_ordered` reads the levels
-of all three as `(mask, support)` pairs in output order, building no
-object. The public objects are built once, from the counts:
-`iter_levels` wraps each counted candidate in one `ItemSet` and each kept
-one in one `MinedItemSet`, and `mine_rare` wraps only the results.
+makes its next level from the first dict's keys. They count subsets of
+item-sets already counted, whose tid-lists no AND of kept ones can make,
+so each count is a `support_of_mask` call. Apriori counts supersets, each
+as one AND of a kept tid-list with an item's (`apriori._extend`). Each
+walk gives one dict per cardinality, in ascending mask order, and
+`_ordered` reads the levels of all three as `(mask, support)` pairs in
+output order, building no object. The public objects are built once, from
+the counts: `iter_levels` wraps each counted candidate in one `ItemSet`
+and each kept one in one `MinedItemSet`, and `mine_rare` wraps only the
+results.
 
 The top-down walk makes each level's candidates by one rule: the k-item-sets
 all of whose (k+1)-item supersets the level above kept. `_candidate_masks`
@@ -186,8 +190,8 @@ def evaluate_candidates(
 
     Returns two `{mask: support}` dicts, both in candidate order: the
     candidates with support below sigma, and the others. It is the one
-    counting step of all three walks: the rare walks keep the first dict,
-    Apriori's `iter_supported` the second.
+    counting step of the two rare walks, which keep the first dict;
+    Apriori's `iter_supported` counts its candidates by tid-list instead.
     """
     below: dict[int, int] = {}
     above: dict[int, int] = {}

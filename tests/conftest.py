@@ -61,6 +61,32 @@ def random_database(
     return database_from_transactions(rows, universe=universe)
 
 
+def counting_item_ands(monkeypatch) -> list[int]:
+    """The ANDs taken with an item's tid-list from now on, one entry each.
+
+    Databases build their support index from here on with each entry an
+    int subclass that records every AND it takes part in; Apriori counts a
+    candidate as one such AND.
+    """
+    ands: list[int] = []
+
+    class CountedTid(int):
+        def __and__(self, other):
+            ands.append(self)
+            return int.__and__(self, other)
+
+        __rand__ = __and__
+
+    build = TransactionDatabase._nibble_tables
+
+    def counted_tables(db):
+        db._tables = [[CountedTid(tid) for tid in table] for table in build(db)]
+        return db._tables
+
+    monkeypatch.setattr(TransactionDatabase, "_nibble_tables", counted_tables)
+    return ands
+
+
 def mined_as_dict(results, db: TransactionDatabase) -> dict[str, tuple[int, str]]:
     """{rendered labels: (support, class tag)} for easy whole-result compares."""
     out = {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, random_database
+from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, counting_item_ands, random_database
 from rareminer import (
     Classification,
     ItemSet,
@@ -205,6 +205,7 @@ class TestOneResultType:
 
     def test_each_result_gets_one_itemset_and_no_candidate_gets_one(self, worked_db, monkeypatch):
         built, counted = [], []
+        ands = counting_item_ands(monkeypatch)
         init, count = ItemSet.__init__, TransactionDatabase.support_of_mask
 
         def counting_init(self, mask, width):
@@ -218,8 +219,10 @@ class TestOneResultType:
         monkeypatch.setattr(ItemSet, "__init__", counting_init)
         monkeypatch.setattr(TransactionDatabase, "support_of_mask", counting_count)
         results = mine_frequent(worked_db, 2)
-        # 5 items, 10 pairs and the triples a b c and b c d are counted; 12 are frequent.
-        assert (len(counted), len(results)) == (17, 12)
+        # 5 items, 10 pairs and the triples a b c and b c d are counted, each
+        # by one AND of tid-lists and none by `support_of_mask`; 12 are frequent.
+        assert (len(ands), len(results)) == (17, 12)
+        assert counted == []
         assert built == [r.itemset.mask for r in results]
 
 

@@ -309,6 +309,36 @@ def test_counter_index_is_at_most_4x_the_tid_lists(width, n_rows):
     assert index <= 4 * footprint([tid_lists], tid_lists)
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 5000])
+@pytest.mark.parametrize("width", range(1, 41))
+def test_index_tables_match_a_row_scan(width, n_rows):
+    # The tid-lists are read off rows packed ceil(width / 8) bytes each, so
+    # widths 1-40 cover whole and partial bytes, one to five of them per row;
+    # 5,000 rows give tid-lists of 5,000 binary digits, past the limit that
+    # int() puts on decimal strings (4,300 digits by default).
+    rng = random.Random(width * 10_000 + n_rows)
+    labels = [f"i{n:02d}" for n in range(width)][::-1]
+    db = TransactionDatabase(labels, [rng.getrandbits(width) or 1 for _ in range(n_rows)])
+    tids = [0] * width
+    for r, row in enumerate(db.rows):
+        for i in range(width):
+            if row >> i & 1:
+                tids[i] |= 1 << r
+    expected = []
+    for lo in range(0, width, 4):
+        nibble = tids[lo:lo + 4]
+        table = []
+        for b in range(1 << len(nibble)):
+            tid = (1 << n_rows) - 1
+            for j, item_tid in enumerate(nibble):
+                if b >> j & 1:
+                    tid &= item_tid
+            table.append(tid)
+        expected.append(table)
+    assert db._nibble_tables() == expected
+    assert db._tables == expected
+
+
 def _counts(db) -> list[int]:
     return [db.support_of_mask(m) for m in range(1 << db.width)]
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, mined_as_dict, random_database
+from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, counting_item_ands, mined_as_dict, random_database
 import rareminer.monitor as monitor
 import rareminer.rare as rare
 import rareminer.supports as supports
@@ -740,11 +740,13 @@ class TestBenchCorpusWork:
         assert len(reports) == 8
         assert sum(len(report.alerts) for report in reports) == 4
 
-    def test_zipf_corpus_counts(self):
+    def test_zipf_corpus_counts(self, monkeypatch):
         db = parse_database(bench_generate().zipf_corpus(1).text)
-        counted = counting(db)
+        counted, ands = counting(db), counting_item_ands(monkeypatch)
         got = mine_frequent(db, 20)
-        assert len(counted) == 2735
+        # Apriori counts each candidate by one AND of tid-lists, not by `support_of_mask`.
+        assert len(ands) == 2735
+        assert counted == []
         assert len(got) == 1317
 
 
@@ -922,11 +924,12 @@ def scanned_supports(db):
 
 
 @st.composite
-def wide_cases(draw, low=17, high=20):
-    """(database over `low`-`high` items with rows of at most 8, sigma in [1, |D|+2])."""
+def wide_cases(draw, low=17, high=20, rows=(0, 30)):
+    """(database over `low`-`high` items with `rows[0]`-`rows[1]` rows of at
+    most 8 items, sigma in [1, |D|+2])."""
     universe = [f"w{n:02d}" for n in range(draw(st.integers(low, high)))]
     rows = draw(st.lists(
-        st.lists(st.sampled_from(universe), min_size=1, max_size=8), max_size=30
+        st.lists(st.sampled_from(universe), min_size=1, max_size=8), min_size=rows[0], max_size=rows[1]
     ))
     db = database_from_transactions(rows, universe=universe, max_items=len(universe))
     return db, draw(st.integers(1, len(db) + 2))
@@ -976,6 +979,24 @@ class TestWideReferee:
         assert [(r.itemset.mask, r.support) for r in mine_frequent(db, sigma)] == naive(
             [(mask, support) for mask, support in scanned.items() if support >= sigma])
         assert rare._ordered(iter_supported(db, 1), db) == naive(list(scanned.items()))
+
+    # 65-300 rows, so that a tid-list spans several machine words. 40
+    # examples take about 3 s.
+    @settings(deadline=None, max_examples=40)
+    @given(wide_cases(17, 40, rows=(65, 300)))
+    def test_supported_levels_are_the_scan_past_16_items(self, case):
+        db, minsupp = case
+        levels: dict[int, dict[int, int]] = {}
+        for mask, support in sorted(scanned_supports(db).items()):
+            if support >= minsupp:
+                levels.setdefault(mask.bit_count(), {})[mask] = support
+        got = list(iter_supported(db, minsupp))
+        assert got == [levels[k] for k in sorted(levels)]
+        assert [list(level) for level in got] == [sorted(level) for level in got]
+
+    def test_no_rows_support_nothing(self):
+        db = database_from_transactions([], universe=[f"w{n:02d}" for n in range(30)], max_items=30)
+        assert mine_frequent(db, 1) == []
 
 
 def counting(db):
