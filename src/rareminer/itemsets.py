@@ -8,20 +8,20 @@ defeats it (`TransactionDatabase._mask_keys`); ids, masks and ascending-mask
 orders do not depend on the order of the input. All types here are
 immutable after construction and safe to share across threads; every
 operation is a pure function. Two pieces of each database's state are
-built later, on first use, and never mutated after they are built: the
-support index, made on the first support count or Apriori walk, and the
-text tables, made on the first text join (`render`, `format_lines` and
-`canonical_key`). The support index holds each item's tid-list (an int
-with a bit per transaction) in one 16-entry table per 4 items, whose entry
-b is the AND of the tid-lists of nibble b's items; it takes at most 4x the
-memory of the plain tid-lists. Its tid-list pass reads the rows packed as
-bytes, with no Python step per row (`_nibble_tables`), and Apriori's walk
-takes each item's own tid-list from it. The text tables hold, per 8 items,
-each byte's labels as text, so a mask renders with one lookup per 8 items,
-and a chunk of result lines with one `map` per table. Two threads racing
-on a first use can at worst build the same piece twice, as identical
-copies. A walk that counts most of the lattice counts on a copy of its
-database that reads every support from one table (`_reading`); the
+cached attributes, built on first read and never mutated after: the
+support index `_tables`, read by the first support count or Apriori walk,
+and the text tables `_texts`, read by the first text join (`render`,
+`format_lines` and `canonical_key`). The support index holds each item's
+tid-list (an int with a bit per transaction) in one 16-entry table per 4
+items, whose entry b is the AND of the tid-lists of nibble b's items; it
+takes at most 4x the memory of the plain tid-lists. Its tid-list pass
+reads the rows packed as bytes, with no Python step per row, and Apriori's
+walk takes each item's own tid-list from it. The text tables hold, per 8
+items, each byte's labels as text, so a mask renders with one lookup per 8
+items, and a chunk of result lines with one `map` per table. Two threads
+racing on a first use can at worst build the same piece twice, as
+identical copies. A walk that counts most of the lattice counts on a copy
+of its database that reads every support from one table (`_reading`); the
 database it copied is not changed.
 
 The package's value types derive from `_Frozen`, which gives a class with
@@ -32,6 +32,7 @@ frozen dataclass without the import cost of `dataclasses`.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import add, and_, attrgetter, getitem
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -164,10 +165,6 @@ class ItemSet(_Frozen):
     def cardinality(self) -> int:
         return self.mask.bit_count()
 
-    def item_ids(self) -> tuple[int, ...]:
-        """Member item ids, ascending."""
-        return tuple(i for i in range(self.width) if self.mask >> i & 1)
-
 
 # The slots' member descriptors, which the two per-result types write through.
 _set_itemset = MinedItemSet.itemset.__set__
@@ -195,9 +192,6 @@ class TransactionDatabase:
     their input order, and each is non-empty and within the universe.
     """
 
-    # Every support, indexed by mask, on the copies `_reading` makes.
-    _supports: Optional[Sequence[int]] = None
-
     def __init__(self, labels: Sequence[str], rows: Iterable[int]):
         labels = tuple(labels)
         index: dict[str, int] = {}
@@ -214,11 +208,6 @@ class TransactionDatabase:
         self._labels = labels
         self._index = index
         self._rows = rows
-        # 4-item tid-list tables, built on the first support count.
-        self._tables: Optional[list[list[int]]] = None
-        # Per 8 ids, highest first, each byte's labels as text, built on the
-        # first text join.
-        self._texts: Optional[list[list[str]]] = None
         # Whether a larger mask renders smaller within each cardinality, so
         # that output needs no sort (`rare._ordered`). Ids run in descending
         # label order, so it holds unless some label is empty or holds a
@@ -281,7 +270,7 @@ class TransactionDatabase:
         """`format_result_line` of each `(mask, support)` pair, classed by `classify_support(support,
         threshold)`, plus a line feed, in chunks of `_CHUNK_LINES` lines made with no Python call per
         line: one `map` per text table over the masks' bytes, one tail per distinct support, one join."""
-        tables = self._texts or self._text_tables()
+        tables = self._texts
         tails: dict[int, str] = {}
         pairs = iter(pairs)
         while chunk := list(islice(pairs, _CHUNK_LINES)):
@@ -295,14 +284,14 @@ class TransactionDatabase:
 
     def _joined(self, mask: int) -> str:
         """The rendered labels of `mask` plus one space, one lookup per 8 ids."""
-        tables = self._texts or self._text_tables()
+        tables = self._texts
         return "".join(map(getitem, tables, mask.to_bytes(len(tables), "big")))
 
-    def _text_tables(self) -> list[list[str]]:
+    @cached_property
+    def _texts(self) -> list[list[str]]:
         """Per 8 ids, highest byte first: byte b's labels, ascending, each plus one space."""
         labels = [label + " " for label in self._labels]
-        self._texts = _subset_tables(labels, 8, "", add)[::-1]
-        return self._texts
+        return _subset_tables(labels, 8, "", add)[::-1]
 
     def support_of_mask(self, mask: int) -> int:
         """Number of transactions holding every item of `mask`.
@@ -314,14 +303,12 @@ class TransactionDatabase:
         the count is one AND per 4 items up to the mask's highest member,
         then a bit count. The empty mask counts every transaction; a mask
         with a bit outside the universe counts none. A copy made by
-        `_reading` has no index: it reads the count from its table.
+        `_reading` holds `None` for its index: it reads the count from its
+        table.
         """
         tables = self._tables
         if tables is None:
-            supports = self._supports
-            if supports is not None:
-                return 0 if mask >> len(self._labels) else supports[mask]
-            tables = self._nibble_tables()
+            return 0 if mask >> len(self._labels) else self._supports[mask]
         if not mask:
             return len(self._rows)
         if mask >> len(self._labels):
@@ -338,15 +325,18 @@ class TransactionDatabase:
         """A copy of this database whose `support_of_mask(m)` is `supports[m]`.
 
         `supports` must hold the support of every mask below 2^|I|. The copy
-        builds no tid-list index and shares all other state with this
-        database, which is left as it was.
+        holds `None` as its own `_tables`, which hides the cached attribute,
+        so it never builds a tid-list index. It shares all other state with
+        this database, the text tables too if this database has built them,
+        and this database is left as it was.
         """
         copy = object.__new__(type(self))
         copy.__dict__.update(self.__dict__, _tables=None, _supports=supports)
         return copy
 
-    def _nibble_tables(self) -> list[list[int]]:
-        """Build and keep the index: per 4 items, entry b is the AND of the
+    @cached_property
+    def _tables(self) -> list[list[int]]:
+        """The support index: per 4 items, entry b is the AND of the
         tid-lists of nibble b's items, so entry 1 << (i & 3) of table i >> 2
         is item i's own tid-list.
 
@@ -365,8 +355,7 @@ class TransactionDatabase:
         packed = b"".join(map(int.to_bytes, rows, repeat(stride), repeat("little")))
         tids = [int(packed[i >> 3::stride].translate(_BIT_DIGITS[i & 7])[::-1] or b"0", 2)
                 for i in range(width)]
-        self._tables = _subset_tables(tids, 4, (1 << len(rows)) - 1, and_)
-        return self._tables
+        return _subset_tables(tids, 4, (1 << len(rows)) - 1, and_)
 
 
 def _subset_tables(values: Sequence, size: int, empty, join: Callable) -> list[list]:

@@ -61,11 +61,11 @@ def random_database(
     return database_from_transactions(rows, universe=universe)
 
 
-def counting_item_ands(monkeypatch) -> list[int]:
-    """The ANDs taken with an item's tid-list from now on, one entry each.
+def counting_item_ands(db: TransactionDatabase) -> list[int]:
+    """The ANDs taken with an item's tid-list of `db` from now on, one entry each.
 
-    Databases build their support index from here on with each entry an
-    int subclass that records every AND it takes part in; Apriori counts a
+    `db`'s support index is built, and each entry swapped for an int
+    subclass that records every AND it takes part in; Apriori counts a
     candidate as one such AND.
     """
     ands: list[int] = []
@@ -77,13 +77,7 @@ def counting_item_ands(monkeypatch) -> list[int]:
 
         __rand__ = __and__
 
-    build = TransactionDatabase._nibble_tables
-
-    def counted_tables(db):
-        db._tables = [[CountedTid(tid) for tid in table] for table in build(db)]
-        return db._tables
-
-    monkeypatch.setattr(TransactionDatabase, "_nibble_tables", counted_tables)
+    vars(db)["_tables"] = [[CountedTid(tid) for tid in table] for table in db._tables]
     return ands
 
 

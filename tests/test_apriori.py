@@ -205,7 +205,7 @@ class TestOneResultType:
 
     def test_each_result_gets_one_itemset_and_no_candidate_gets_one(self, worked_db, monkeypatch):
         built, counted = [], []
-        ands = counting_item_ands(monkeypatch)
+        ands = counting_item_ands(worked_db)
         init, count = ItemSet.__init__, TransactionDatabase.support_of_mask
 
         def counting_init(self, mask, width):

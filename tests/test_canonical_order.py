@@ -55,7 +55,7 @@ LATTICE_WIDTH = 10
 
 
 def naive_labels(db, itemset):
-    return tuple(sorted(db.labels[i] for i in itemset.item_ids()))
+    return tuple(sorted(db.labels[i] for i in range(db.width) if itemset.mask >> i & 1))
 
 
 def naive_key(db, itemset):

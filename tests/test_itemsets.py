@@ -18,6 +18,7 @@ from conftest import (
     naive_label_support,
     random_database,
 )
+import rareminer.itemsets as itemsets
 from rareminer import (
     DEFAULT_ITEM_CAP,
     Classification,
@@ -183,7 +184,7 @@ class TestItemSet:
 
     def test_item_ids_and_cardinality(self):
         s = ItemSet(0b1101, 5)
-        assert s.item_ids() == (0, 2, 3)
+        assert [i for i in range(s.width) if s.mask >> i & 1] == [0, 2, 3]
         assert s.cardinality == 3
 
 
@@ -335,8 +336,35 @@ def test_index_tables_match_a_row_scan(width, n_rows):
                     tid &= item_tid
             table.append(tid)
         expected.append(table)
-    assert db._nibble_tables() == expected
     assert db._tables == expected
+
+
+def test_the_cached_tables_are_built_on_first_read_and_kept(worked_db, monkeypatch):
+    built = []
+    subset_tables = itemsets._subset_tables
+    # Each build records its table size: 4 items for the index, 8 for the text tables.
+    monkeypatch.setattr(itemsets, "_subset_tables", lambda *args: built.append(args[1]) or subset_tables(*args))
+    db = worked_db
+    assert "_tables" not in vars(db) and "_texts" not in vars(db)
+    # The first count builds the index, and every later count and Apriori walk reads it.
+    assert db.support_of_mask(0b11) == WORKED_DB_SUPPORTS["d e"]
+    tables = vars(db)["_tables"]
+    assert db.support_of_mask(0b110) == WORKED_DB_SUPPORTS["c d"]
+    assert len(list(iter_supported(db, 1))) == 4
+    assert db._tables is tables and built == [4]
+    assert "_texts" not in vars(db)
+    # The first text join builds the text tables, and every later one reads them.
+    assert db.render(ItemSet(0b11, db.width)) == "d e"
+    texts = vars(db)["_texts"]
+    assert "".join(db.format_lines([(0b11, 1)], 2)) == "d e : 1 RARE\n"
+    assert db._texts is texts and built == [4, 8]
+    # A copy reading a table of every support counts from it, builds no
+    # index and shares the text tables built before it was made.
+    counts = _counts(db)
+    copy = db._reading(counts)
+    assert _counts(copy) == counts
+    assert vars(copy)["_tables"] is None and vars(db)["_tables"] is tables
+    assert copy._texts is texts and built == [4, 8]
 
 
 def _counts(db) -> list[int]:

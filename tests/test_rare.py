@@ -498,7 +498,7 @@ class TestRareOnlyWalk:
         db, sigma, _ = case
         counted = counting(db)
         got = mine_rare(db, MiningConfig(sigma, emit="rare"))
-        reductions = {r.itemset.mask ^ 1 << i for r in got for i in r.itemset.item_ids()}
+        reductions = {r.itemset.mask ^ 1 << i for r in got for i in range(db.width) if r.itemset.mask >> i & 1}
         assert sorted(counted) == sorted(set(db.rows) | (reductions - {0}))
 
     @settings(deadline=None, max_examples=150)
@@ -740,9 +740,9 @@ class TestBenchCorpusWork:
         assert len(reports) == 8
         assert sum(len(report.alerts) for report in reports) == 4
 
-    def test_zipf_corpus_counts(self, monkeypatch):
+    def test_zipf_corpus_counts(self):
         db = parse_database(bench_generate().zipf_corpus(1).text)
-        counted, ands = counting(db), counting_item_ands(monkeypatch)
+        counted, ands = counting(db), counting_item_ands(db)
         got = mine_frequent(db, 20)
         # Apriori counts each candidate by one AND of tid-lists, not by `support_of_mask`.
         assert len(ands) == 2735
@@ -826,7 +826,7 @@ class TestSupportTable:
         # The empty mask, negative masks and masks past the universe too.
         for mask in range(-3, 1 << (db.width + 1)):
             assert copy.support_of_mask(mask) == db.support_of_mask(mask)
-        assert db._supports is None
+        assert "_supports" not in vars(db)
         assert (copy.labels, copy.rows) == (db.labels, db.rows)
         # The copy reads its table, not the index of the database it copied.
         assert db._reading(range(100, 116)).support_of_mask(5) == 105
@@ -858,7 +858,7 @@ class TestSupportTable:
         # The walk counts the 11-item level, makes the 10-item candidates with
         # the Counter rule and takes those of 9 items and fewer from the table.
         assert built == [(dense, 8, 9)]
-        assert dense._supports is None
+        assert "_supports" not in vars(dense)
         built.clear()
         # Every 16-item subset of 20 items once: the walk at sigma 1 counts
         # the 1,351 item-sets of 17 items or more, all non-present, and
