@@ -108,7 +108,7 @@ def iter_supported(db: TransactionDatabase, minsupp: int) -> Iterator[dict[int, 
     """
     if minsupp < 1:
         raise ValueError(f"minsupp must be at least 1, got {minsupp}")
-    tables = db._tables
+    tables = db._support_index()
     items = {1 << i: tables[i >> 2][1 << (i & 3)] for i in range(db.width)}
     level, tids = {0: len(db)}, {0: (1 << len(db)) - 1}
     while True:

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     # Decode the raw bytes: text mode would turn a lone '\r' into a line
-    # break, which `content_lines` keeps inside its line.
+    # break, where both parsers end a line at '\n' only.
     try:
         with open(path, "rb") as fh:
             return fh.read().decode("utf-8")

@@ -7,14 +7,15 @@ and within one cardinality a larger mask renders smaller, unless a label
 defeats it (`TransactionDatabase._mask_keys`); ids, masks and ascending-mask
 orders do not depend on the order of the input. All types here are
 immutable after construction and safe to share across threads; every
-operation is a pure function. Two pieces of each database's state are
-cached attributes, built on first read and never mutated after: the
-support index `_tables`, read by the first support count or Apriori walk,
-and the text tables `_texts`, read by the first text join (`render`,
-`format_lines` and `canonical_key`). The support index holds each item's
-tid-list (an int with a bit per transaction) in one 16-entry table per 4
-items, whose entry b is the AND of the tid-lists of nibble b's items; it
-takes at most 4x the memory of the plain tid-lists. Its tid-list pass
+operation is a pure function. A text is parsed in bulk (`_text_lines`,
+`_build`), with no Python step per token. Two pieces of each database's
+state are built on first use and never mutated after: the support index
+`_tables`, by the first support count or Apriori walk (`_support_index`),
+and the text tables `_texts`, a cached attribute, by the first text join
+(`render`, `format_lines` and `canonical_key`). The support index holds
+each item's tid-list (an int with a bit per transaction) in one 16-entry
+table per 4 items, whose entry b is the AND of the tid-lists of nibble b's
+items; it takes at most 4x the memory of the plain tid-lists. Its pass
 reads the rows packed as bytes, with no Python step per row, and Apriori's
 walk takes each item's own tid-list from it. The text tables hold, per 8
 items, each byte's labels as text, so a mask renders with one lookup per 8
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import add, and_, attrgetter, getitem
+from itertools import chain, compress, count, islice, repeat
+from operator import add, and_, attrgetter, getitem, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # Mining rare and non-present item-sets walks from the full item-set down to
@@ -91,11 +92,12 @@ class _Frozen:
     """An immutable value whose fields are its subclass's `__slots__`.
 
     A subclass sets them in `__init__` with `object.__setattr__`, except the
-    two types built once per result, `ItemSet` and `MinedItemSet`: they call
-    their slots' own member descriptors (`ItemSet.mask.__set__`, bound once
-    at module level), which skips `object.__setattr__`'s lookup of the field
-    by name. Copies and pickles are rebuilt by calling the class with the
-    fields in slot order.
+    types built once per result or event line, `ItemSet`, `MinedItemSet` and
+    `monitor.Event`: they call their slots' own member descriptors
+    (`ItemSet.mask.__set__`, bound once at module level), which skips
+    `object.__setattr__`'s lookup of the field by name; `parse_events` writes
+    its events through them alone, with no `Event.__init__` call. Copies and
+    pickles are rebuilt by calling the class with the fields in slot order.
     Each subclass naming slots gets an `attrgetter` over them, `_fields`:
     the field tuple, as every value type has two or more slots.
     """
@@ -202,8 +204,7 @@ class TransactionDatabase:
         if any(a < b for a, b in zip(labels, labels[1:])):
             raise ValueError("item labels must be in descending order")
         rows = tuple(rows)
-        limit = 1 << len(labels)
-        if not all(0 < row < limit for row in rows):
+        if rows and not 0 < min(rows) <= max(rows) < 1 << len(labels):
             raise ValueError("every row must be a non-empty item-id mask within the universe")
         self._labels = labels
         self._index = index
@@ -306,7 +307,10 @@ class TransactionDatabase:
         `_reading` holds `None` for its index: it reads the count from its
         table.
         """
-        tables = self._tables
+        try:
+            tables = self._tables
+        except AttributeError:
+            tables = self._support_index()
         if tables is None:
             return 0 if mask >> len(self._labels) else self._supports[mask]
         if not mask:
@@ -325,20 +329,21 @@ class TransactionDatabase:
         """A copy of this database whose `support_of_mask(m)` is `supports[m]`.
 
         `supports` must hold the support of every mask below 2^|I|. The copy
-        holds `None` as its own `_tables`, which hides the cached attribute,
-        so it never builds a tid-list index. It shares all other state with
-        this database, the text tables too if this database has built them,
-        and this database is left as it was.
+        holds `None` as its `_tables`, so it never builds a tid-list index. It
+        shares all other state with this database, the text tables too if
+        this database has built them, and this database is left as it was.
         """
         copy = object.__new__(type(self))
         copy.__dict__.update(self.__dict__, _tables=None, _supports=supports)
         return copy
 
-    @cached_property
-    def _tables(self) -> list[list[int]]:
-        """The support index: per 4 items, entry b is the AND of the
-        tid-lists of nibble b's items, so entry 1 << (i & 3) of table i >> 2
-        is item i's own tid-list.
+    def _support_index(self) -> list[list[int]]:
+        """The support index `_tables`, built on the first call and then kept:
+        per 4 items, entry b is the AND of the tid-lists of nibble b's items,
+        so entry 1 << (i & 3) of table i >> 2 is item i's own tid-list. The
+        class has no `_tables`, not even a `cached_property`, as CPython 3.11
+        does not specialise a load that a Python-level descriptor could serve,
+        and `support_of_mask` loads it once per count.
 
         A tid-list has bit r set when transaction r holds the item. The
         tid-lists are made with no Python step per row: the rows are packed
@@ -350,12 +355,17 @@ class TransactionDatabase:
         narrowest tid-list it joins. The plain tid-lists are freed, and with
         the list slots the index takes at most 4x their memory.
         """
+        # Not `"_tables" in self.__dict__`: reading `__dict__` materialises
+        # the instance dict, which slows every specialised attribute load.
+        if hasattr(self, "_tables"):
+            return self._tables
         width, rows = len(self._labels), self._rows
         stride = (width + 7) >> 3
         packed = b"".join(map(int.to_bytes, rows, repeat(stride), repeat("little")))
         tids = [int(packed[i >> 3::stride].translate(_BIT_DIGITS[i & 7])[::-1] or b"0", 2)
                 for i in range(width)]
-        return _subset_tables(tids, 4, (1 << len(rows)) - 1, and_)
+        tables = self._tables = _subset_tables(tids, 4, (1 << len(rows)) - 1, and_)
+        return tables
 
 
 def _subset_tables(values: Sequence, size: int, empty, join: Callable) -> list[list]:
@@ -372,34 +382,37 @@ def _subset_tables(values: Sequence, size: int, empty, join: Callable) -> list[l
     return tables
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(0-based line index, line) of every line that is not blank or a comment.
+def _text_lines(text: str) -> list[str]:
+    """Every line of `text`, a comment (first character '#') read as empty.
 
-    A line ends at '\n' only, and one trailing '\r' is dropped, so CRLF files
-    read like LF files while form feeds and Unicode line separators stay
-    inside their line. Blank lines and lines starting with '#' are skipped.
-    One leading U+FEFF (a UTF-8 byte-order mark) is dropped, so a file
-    saved with one reads like the same file without it.
+    A line ends at '\n' only, so form feeds and Unicode line separators stay
+    inside their line, and a CRLF line's '\r' is whitespace to `str.split`,
+    which both parsers map over the lines, with no Python step per token.
+    One leading U+FEFF (a UTF-8 byte-order mark) is dropped, so a file saved
+    with one reads like the same file without it.
     """
-    for i, line in enumerate(text.removeprefix("\ufeff").split("\n")):
-        if line.strip() and not line.startswith("#"):
-            yield i, line.removesuffix("\r")
+    text = text.removeprefix("\ufeff")
+    lines = text.split("\n")
+    if text.startswith("#") or "\n#" in text:
+        for i in compress(count(), map(str.startswith, lines, repeat("#"))):
+            lines[i] = ""
+    return lines
 
 
 def parse_database(text: str, *, max_items: int = DEFAULT_ITEM_CAP) -> TransactionDatabase:
     """Parse transaction text: one transaction per line, whitespace-separated.
 
     Tokens are arbitrary non-whitespace labels (numeric ids parse unchanged).
-    Lines are read by `content_lines`; duplicate tokens within a line
+    Lines are read by `_text_lines`; duplicate tokens within a line
     collapse to one membership. Item ids run in descending label order, so
     a mask compares like its rendered labels and the ids do not depend on
-    the order of lines or tokens; each line read becomes one row, in file
-    order.
+    the order of lines or tokens; each line with a token becomes one row,
+    in file order.
 
     Raises ItemUniverseError when the input holds more than `max_items`
     distinct items, and ValueError when `max_items` is below 1.
     """
-    return _build((line.split() for _, line in content_lines(text)), None, max_items)
+    return _build(list(map(str.split, _text_lines(text))), None, max_items)
 
 
 def database_from_transactions(
@@ -416,47 +429,41 @@ def database_from_transactions(
     rendered labels. Empty transactions are skipped: they can never affect
     the support of a non-empty item-set.
     """
-    return _build(transactions, universe, max_items)
+    return _build(list(map(tuple, transactions)), universe, max_items)
 
 
 def _build(
-    transactions: Iterable[Iterable[str]],
+    rows: Sequence[Sequence[str]],
     universe: Optional[Sequence[str]],
     max_items: int,
 ) -> TransactionDatabase:
     """Intern label rows, check the universe and the cap, and build the database.
 
     Labels are interned after those of `universe`, in order of first
-    appearance, so a label outside a given universe shows up as an index
-    beyond it. Only after the checks pass are the labels given ids in
-    descending label order, so that a mask compares like its rendered
-    labels, and each row ORed into its mask: a mask is as wide as its
-    largest id, so an input far over the cap is refused while it is still
-    small lists of indices.
+    appearance, so a label outside a given universe is the first one past
+    it. Only after the checks pass are the labels given ids in descending
+    label order, so that a mask compares like its rendered labels, and the
+    rows made into masks, with no Python step per token: a row's mask is the
+    sum of its items' bits, their OR unless a token repeats, when the sum
+    has fewer bits than the row has tokens and is taken again over a set.
     """
     if max_items < 1:
         raise ValueError(f"max_items must be at least 1, got {max_items}")
     fixed = () if universe is None else tuple(universe)
-    index = {label: i for i, label in enumerate(fixed)}
+    index = dict.fromkeys(fixed)
     if len(index) != len(fixed):
         raise ValueError("duplicate labels in the item universe")
-    id_rows = [[index.setdefault(label, len(index)) for label in row] for row in transactions]
+    index.update(dict.fromkeys(chain.from_iterable(rows)))
     if universe is not None and len(index) > len(fixed):
         raise ValueError(f"item label {list(index)[len(fixed)]!r} not in the given universe")
     if len(index) > max_items:
         raise ItemUniverseError(len(index), max_items)
     labels = sorted(index, reverse=True)
-    bits = [0] * len(labels)
-    for item_id, label in enumerate(labels):
-        bits[index[label]] = 1 << item_id
-    rows = []
-    for ids in id_rows:
-        mask = 0
-        for i in ids:
-            mask |= bits[i]
-        if mask:
-            rows.append(mask)
-    return TransactionDatabase(labels, rows)
+    bit = dict(zip(labels, map((1).__lshift__, range(len(labels))))).__getitem__
+    masks = list(map(sum, map(map, repeat(bit), rows)))
+    for r in compress(count(), map(ne, map(int.bit_count, masks), map(len, rows))):
+        masks[r] = sum(set(map(bit, rows[r])))
+    return TransactionDatabase(labels, filter(None, masks))
 
 
 def canonical_key(mask: int, db: TransactionDatabase) -> tuple[int, str]:

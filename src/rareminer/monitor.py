@@ -20,9 +20,11 @@ produce identical alerts and identical store bytes.
 from __future__ import annotations
 
 import os
+from itertools import chain, count, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .itemsets import ItemUniverseError, _Frozen, content_lines, database_from_transactions
+from .itemsets import ItemUniverseError, _Frozen, _text_lines, database_from_transactions
 from .rare import EMIT_RARE, MiningConfig, mine_rare
 
 AlertSink = Callable[["Alert"], None]
@@ -48,6 +50,11 @@ class Event(_Frozen):
             raise ValueError("an event needs at least one item")
         object.__setattr__(self, "timestamp", timestamp)
         object.__setattr__(self, "items", items)
+
+
+# The slots' member descriptors, which `parse_events` writes its events through.
+_set_timestamp = Event.timestamp.__set__
+_set_items = Event.items.__set__
 
 
 class EventWindowConfig(_Frozen):
@@ -148,7 +155,7 @@ class ParsedEvents(_Frozen):
 def parse_events(text: str) -> ParsedEvents:
     """Parse replay lines of the form `<timestamp_ms> <item> <item> ...`.
 
-    Lines are read by `content_lines`, so blank and '#'-prefixed lines are
+    Lines are read by `_text_lines`, so blank and '#'-prefixed lines are
     skipped silently. Malformed lines (a timestamp that is not all ASCII
     decimal digits or has more digits than `int()` accepts, no items) are
     skipped, returned in `malformed` with their 1-based line numbers, and
@@ -156,27 +163,37 @@ def parse_events(text: str) -> ParsedEvents:
     first-seen order. Timestamps must be non-decreasing; a violation raises
     ReplayOrderError.
     """
-    events: list[Event] = []
+    lines = _text_lines(text)
     malformed: list[tuple[int, str]] = []
-    last_timestamp: Optional[int] = None
-    for index, line in content_lines(text):
-        lineno = index + 1
-        tokens = line.split()
+    timestamps: list[int] = []
+    item_lists: list[list[str]] = []
+    last_timestamp = 0
+    for lineno, line, tokens in zip(count(1), lines, map(str.split, lines)):
+        if not tokens:
+            continue
         try:
             # int() also refuses more digits than the interpreter's int-string limit.
             timestamp = int(tokens[0]) if tokens[0].isascii() and tokens[0].isdigit() else -1
         except ValueError:
             timestamp = -1
         if timestamp < 0 or len(tokens) < 2:
-            malformed.append((lineno, line))
+            malformed.append((lineno, line.removesuffix("\r")))
             continue
-        if last_timestamp is not None and timestamp < last_timestamp:
+        if timestamp < last_timestamp:
             raise ReplayOrderError(
                 f"non-monotone timestamps in replay: line {lineno} has "
                 f"{timestamp} after {last_timestamp}"
             )
         last_timestamp = timestamp
-        events.append(Event(timestamp, tuple(dict.fromkeys(tokens[1:]))))
+        del tokens[0]
+        timestamps.append(timestamp)
+        item_lists.append(tokens)
+    del lines  # lowers the peak memory of the passes below
+    # Each kept line passed `Event.__init__`'s checks, so the events are
+    # written through their slots in C-level passes (`any` drains the `None`s).
+    events = list(map(object.__new__, repeat(Event, len(timestamps))))
+    any(map(_set_timestamp, events, timestamps))
+    any(map(_set_items, events, map(tuple, map(dict.fromkeys, item_lists))))
     return ParsedEvents(tuple(events), tuple(malformed))
 
 
@@ -329,7 +346,7 @@ def replay(
             raise ReplayOrderError(f"event at {timestamp} ms precedes its window's start at {window_start} ms")
         bucket.append(event)
     for _, bucket in windows:
-        _require_utf8([label for event in bucket for label in event.items])
+        _require_utf8(list(chain.from_iterable(map(attrgetter("items"), bucket))))
     return [run_window(bucket, config, alert_sink, window_start=start) for start, bucket in windows]
 
 

@@ -77,7 +77,7 @@ def counting_item_ands(db: TransactionDatabase) -> list[int]:
 
         __rand__ = __and__
 
-    vars(db)["_tables"] = [[CountedTid(tid) for tid in table] for table in db._tables]
+    vars(db)["_tables"] = [[CountedTid(tid) for tid in table] for table in db._support_index()]
     return ands
 
 

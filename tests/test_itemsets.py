@@ -336,7 +336,7 @@ def test_index_tables_match_a_row_scan(width, n_rows):
                     tid &= item_tid
             table.append(tid)
         expected.append(table)
-    assert db._tables == expected
+    assert db._support_index() == expected
 
 
 def test_the_cached_tables_are_built_on_first_read_and_kept(worked_db, monkeypatch):
