@@ -25,6 +25,7 @@ is made per member, with one AND of item bitmasks per member item
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Collection, Iterator
 
 # The benchmark's tracer replaces `canonical_key` here, so it stays bound, unused.
@@ -33,6 +34,7 @@ from .itemsets import (
     ItemSet,
     MinedItemSet,
     TransactionDatabase,
+    _bulk,
     canonical_key,
 )
 from .rare import _ordered
@@ -150,8 +152,7 @@ def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[MinedItemSet]:
 
     Results carry exact supports, in (cardinality, rendered labels) order:
     `rare._ordered` reads the levels of `iter_supported` in that order, and
-    each result gets one `ItemSet`.
+    `itemsets._bulk` builds the results, one `ItemSet` each, in one batch.
     """
-    width, frequent = db.width, Classification.FREQUENT
-    pairs = _ordered(iter_supported(db, minsupp), db)
-    return [MinedItemSet(ItemSet(m, width), s, frequent) for m, s in pairs]
+    found = dict(_ordered(iter_supported(db, minsupp), db))
+    return _bulk(db.width, found, found.values(), repeat(Classification.FREQUENT))

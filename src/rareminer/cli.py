@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .itemsets import (
     DEFAULT_ITEM_CAP,
+    ORACLE_ITEM_CAP,
     ItemUniverseError,
     TransactionDatabase,
     canonical_key,
@@ -46,8 +47,9 @@ def mine_frequent(db: TransactionDatabase, minsupp: int) -> list[MinedItemSet]:
     return apriori.mine_frequent(db, minsupp)
 
 
-def classify_all(db: TransactionDatabase, sigma: int, *, max_items: int = 16) -> list[MinedItemSet]:
-    from . import lattice  # the default is lattice.ORACLE_ITEM_CAP
+def classify_all(db: TransactionDatabase, sigma: int, *,
+                 max_items: int = ORACLE_ITEM_CAP) -> list[MinedItemSet]:
+    from . import lattice
     return lattice.classify_all(db, sigma, max_items=max_items)
 
 
@@ -96,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     frequent.set_defaults(func=_cmd_frequent)
 
     classify = sub.add_parser("classify", parents=[files], help="exhaustively classify every non-empty item-set",
-                              description="Exhaustively classify every non-empty item-set (at most 16 items).")
+                              description="Exhaustively classify every non-empty item-set "
+                              f"(at most {ORACLE_ITEM_CAP} items).")
     classify.add_argument("--max-support", type=int, required=True, metavar="N")
     classify.set_defaults(func=_cmd_classify)
 

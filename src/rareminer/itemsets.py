@@ -36,13 +36,18 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, and_, attrgetter, getitem, ne
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 # Mining rare and non-present item-sets walks from the full item-set down to
 # single items, and the number of rare plus non-present item-sets can approach
 # 2^|I|; the cap keeps that honest at desk scale. Rare-only mining walks just
 # the present item-sets. Override per call where a larger universe is intended.
 DEFAULT_ITEM_CAP = 24
+
+# The exhaustive referee (`lattice.classify_all`) enumerates all 2^|I| - 1
+# item-sets, so it refuses a larger universe by default. Kept here, so that
+# the CLI can name it without importing `lattice`.
+ORACLE_ITEM_CAP = 16
 
 
 class ItemUniverseError(ValueError):
@@ -95,9 +100,12 @@ class _Frozen:
     types built once per result or event line, `ItemSet`, `MinedItemSet` and
     `monitor.Event`: they call their slots' own member descriptors
     (`ItemSet.mask.__set__`, bound once at module level), which skips
-    `object.__setattr__`'s lookup of the field by name; `parse_events` writes
-    its events through them alone, with no `Event.__init__` call. Copies and
-    pickles are rebuilt by calling the class with the fields in slot order.
+    `object.__setattr__`'s lookup of the field by name. The miners' results
+    (`_bulk`) and parsed events (`parse_events`) are made in bulk through
+    those descriptors alone: a batch of bare `object.__new__` instances, then
+    one `map` per field, with no `__init__` call and no Python call per
+    object. Copies and pickles are rebuilt by calling the class with the
+    fields in slot order, so they pass `__init__`'s checks.
     Each subclass naming slots gets an `attrgetter` over them, `_fields`:
     the field tuple, as every value type has two or more slots.
     """
@@ -174,6 +182,34 @@ _set_support = MinedItemSet.support.__set__
 _set_classification = MinedItemSet.classification.__set__
 _set_mask = ItemSet.mask.__set__
 _set_width = ItemSet.width.__set__
+
+
+def _bulk(
+    width: int,
+    masks: Collection[int],
+    supports: Optional[Iterable[int]] = None,
+    classes: Iterable[Classification] = (),
+) -> list:
+    """`[ItemSet(m, width) for m in masks]`, or, given `supports`, each mask
+    as `MinedItemSet(ItemSet(m, width), s, c)` with the support and class in
+    the same place of `supports` and `classes`; with no Python call per object.
+
+    Each batch of objects is made by `object.__new__`, not by calling the
+    class, and each field is written to all of them by one `map` over its
+    slot's member descriptor; `__init__`'s checks are skipped, so every mask
+    must lie below `1 << width`. The miners build their results here.
+    """
+    n = len(masks)
+    itemsets = list(map(object.__new__, repeat(ItemSet, n)))
+    any(map(_set_mask, itemsets, masks))
+    any(map(_set_width, itemsets, repeat(width, n)))
+    if supports is None:
+        return itemsets
+    results = list(map(object.__new__, repeat(MinedItemSet, n)))
+    any(map(_set_itemset, results, itemsets))
+    any(map(_set_support, results, supports))
+    any(map(_set_classification, results, classes))
+    return results
 
 
 def iter_child_masks(mask: int) -> Iterator[int]:

@@ -9,15 +9,13 @@ built to be obviously correct rather than fast.
 from __future__ import annotations
 
 from .itemsets import (
+    ORACLE_ITEM_CAP,
     ItemSet,
     ItemUniverseError,
     MinedItemSet,
     TransactionDatabase,
     classify_support,
 )
-
-# 2^|I| subsets get enumerated; refuse anything bigger than this by default.
-ORACLE_ITEM_CAP = 16
 
 
 def classify_all(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from itertools import chain, count, repeat
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .itemsets import ItemUniverseError, _Frozen, _text_lines, database_from_transactions
@@ -61,12 +61,15 @@ class EventWindowConfig(_Frozen):
     """Window geometry and mining threshold for the monitoring engine.
 
     A window is exactly `cycles` consecutive buckets of `duration_ms` each;
-    `sigma` is the per-cycle exclusive maximum support.
+    `sigma` is the per-cycle exclusive maximum support. As in `MiningConfig`,
+    `sigma`, `cycles` and `duration_ms` must be ints, or have `__index__`:
+    anything else, a float too, raises TypeError.
     """
 
     __slots__ = __match_args__ = ("sigma", "cycles", "duration_ms", "store_path")
 
     def __init__(self, sigma: int, cycles: int, duration_ms: int, store_path: Union[str, os.PathLike]):
+        sigma, cycles, duration_ms = index(sigma), index(cycles), index(duration_ms)
         if sigma < 1:
             raise ValueError(f"sigma must be at least 1, got {sigma}")
         if cycles < 1:

@@ -30,9 +30,10 @@ as one AND of a kept tid-list with an item's (`apriori._extend`). Each
 walk gives one dict per cardinality, in ascending mask order, and
 `_ordered` reads the levels of all three as `(mask, support)` pairs in
 output order, building no object. The public objects are built once, from
-the counts: `iter_levels` wraps each counted candidate in one `ItemSet`
-and each kept one in one `MinedItemSet`, and `mine_rare` wraps only the
-results.
+the counts, one batch per level or per result list, by `itemsets._bulk`,
+with no Python call per object: `iter_levels` makes one `ItemSet` per
+counted candidate and one `MinedItemSet` per kept one, and `mine_rare`
+makes only the results, in output order.
 
 The top-down walk makes each level's candidates by one rule: the k-item-sets
 all of whose (k+1)-item supersets the level above kept. `_candidate_masks`
@@ -74,6 +75,8 @@ of every 16-item subset of 20 items at sigma 1, never switches.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
+from operator import index
 from typing import Collection, Iterable, Iterator
 
 from .itemsets import (
@@ -81,6 +84,7 @@ from .itemsets import (
     ItemSet,
     MinedItemSet,
     TransactionDatabase,
+    _bulk,
     _Frozen,
     canonical_key,
     iter_child_masks,
@@ -102,12 +106,16 @@ class MiningConfig(_Frozen):
     that want the strict `sigma <= |D| + 1` contract enforce it themselves.
     The `nonpresent` walk runs at sigma 1 whatever `sigma` is: support 0 is
     non-present at every sigma. `pruning_enabled` has no effect: no walk
-    generates a candidate that a prune step could drop.
+    generates a candidate that a prune step could drop. `sigma` must be an
+    int, or have `__index__`: anything else, a float too, raises TypeError.
     """
 
     __slots__ = __match_args__ = ("sigma", "pruning_enabled", "emit")
 
     def __init__(self, sigma: int, pruning_enabled: bool = True, emit: str = EMIT_BOTH):
+        # `index` refuses a float, with which the support table failed and
+        # the other walks returned results.
+        sigma = index(sigma)
         if sigma < 1:
             raise ValueError(f"sigma must be at least 1, got {sigma}")
         if emit not in EMIT_CHOICES:
@@ -211,16 +219,16 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
     item smaller whose every one-item extension the previous level kept.
     Stops after single items, or as soon as a level keeps nothing. The empty
     set is never a candidate. The walk carries masks; each level's public
-    objects are built once, from its counts: zero support is non-present,
-    the rest below sigma rare.
+    objects are built once, in bulk, from its counts: zero support is
+    non-present, the rest below sigma rare.
     """
-    width = db.width
-    rare, nonpresent = Classification.RARE, Classification.NONPRESENT
+    width, rare = db.width, Classification.RARE
+    # A support's class, as `class_of(support, rare)`: 0 is non-present.
+    class_of = {0: Classification.NONPRESENT}.get
     for k, kept, frequent in _top_down(db, config.sigma):
-        interesting = [
-            MinedItemSet(ItemSet(m, width), s, rare if s else nonpresent) for m, s in kept.items()
-        ]
-        yield LevelState(k, tuple(interesting), tuple([ItemSet(m, width) for m in frequent]))
+        supports = kept.values()
+        interesting = _bulk(width, kept, supports, map(class_of, supports, repeat(rare)))
+        yield LevelState(k, tuple(interesting), tuple(_bulk(width, frequent)))
 
 
 def _top_down(
@@ -279,13 +287,13 @@ def mine_rare(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemSe
     same walk on bare masks at sigma 1.
     """
     if config.emit != EMIT_BOTH:
-        width = db.width
         cls = Classification.RARE if config.emit == EMIT_RARE else Classification.NONPRESENT
-        return [MinedItemSet(ItemSet(m, width), s, cls) for m, s in mine_rare_masks(db, config)]
+        found = dict(mine_rare_masks(db, config))
+        return _bulk(db.width, found, found.values(), repeat(cls))
     # `emit=both` walks through this module's `iter_levels`, so that a caller
     # who replaces it, such as a tracer, sees every level.
     levels = [level.interesting for level in iter_levels(db, config)]
-    results = [r for level in reversed(levels) for r in reversed(level)]
+    results = list(chain.from_iterable(map(reversed, reversed(levels))))
     if not db._mask_keys:
         results.sort(key=lambda r: canonical_key(r.itemset.mask, db))
     return results

@@ -4,12 +4,21 @@ that is independent of the package's bit-vector fast path."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from typing import Iterable
 
 import pytest
 
-from rareminer import TransactionDatabase, database_from_transactions, parse_database
+import rareminer
+from rareminer import (
+    ItemSet,
+    MinedItemSet,
+    TransactionDatabase,
+    database_from_transactions,
+    parse_database,
+)
 
 WORKED_DB_TEXT = "a b c d\nb d\na b c e\nc d e\na b c\n"
 
@@ -88,3 +97,43 @@ def mined_as_dict(results, db: TransactionDatabase) -> dict[str, tuple[int, str]
         out[db.render(r.itemset)] = (r.support, r.classification.tag)
     assert len(out) == len(results), "duplicate item-sets in a result"
     return out
+
+
+def counting_builds(monkeypatch: pytest.MonkeyPatch) -> dict[type, list[int]]:
+    """The mask of every `ItemSet` and `MinedItemSet` built from now on:
+    `{ItemSet: masks, MinedItemSet: masks}`, in build order.
+
+    Counts the constructors' calls and the objects that the bulk builder
+    `itemsets._bulk` returns, replaced in every module that binds it, as
+    each caller looks it up there. A `MinedItemSet` it builds counts its
+    `ItemSet` too.
+    """
+    built: dict[type, list[int]] = {ItemSet: [], MinedItemSet: []}
+    item_init, mined_init = ItemSet.__init__, MinedItemSet.__init__
+
+    def counted_item_init(self, mask, width):
+        built[ItemSet].append(mask)
+        item_init(self, mask, width)
+
+    def counted_mined_init(self, itemset, support, classification):
+        built[MinedItemSet].append(itemset.mask)
+        mined_init(self, itemset, support, classification)
+
+    def counted(bulk):
+        def counted_bulk(*args):
+            made = bulk(*args)
+            for obj in made:
+                if isinstance(obj, MinedItemSet):
+                    built[MinedItemSet].append(obj.itemset.mask)
+                    obj = obj.itemset
+                built[ItemSet].append(obj.mask)
+            return made
+        return counted_bulk
+
+    monkeypatch.setattr(ItemSet, "__init__", counted_item_init)
+    monkeypatch.setattr(MinedItemSet, "__init__", counted_mined_init)
+    for info in pkgutil.iter_modules(rareminer.__path__):
+        module = importlib.import_module(f"rareminer.{info.name}")
+        if "_bulk" in vars(module):
+            monkeypatch.setattr(module, "_bulk", counted(module._bulk))
+    return built

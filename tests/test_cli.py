@@ -22,14 +22,16 @@ from hypothesis import strategies as st
 
 import rareminer
 import rareminer.cli as cli
-from conftest import WORKED_DB_TEXT
+from conftest import WORKED_DB_TEXT, counting_builds
 from rareminer import (
     ItemSet,
+    ItemUniverseError,
     MinedItemSet,
     MiningConfig,
     ReplayOrderError,
     TransactionDatabase,
     classify_all,
+    database_from_transactions,
     format_result_line,
     mine_frequent,
     mine_rare,
@@ -661,6 +663,23 @@ def test_a_value_error_from_mining_is_not_a_usage_error(db_file, monkeypatch):
         main(["mine", "--input", db_file, "--max-support", "3"])
 
 
+def test_the_classify_stand_in_keeps_the_referee_cap():
+    # `cli` states the cap without importing `lattice`, whose default it takes.
+    from rareminer import lattice
+
+    db = database_from_transactions([[f"x{i:02d}" for i in range(lattice.ORACLE_ITEM_CAP + 1)]])
+    errors = []
+    for classify in (cli.classify_all, lattice.classify_all):
+        with pytest.raises(ItemUniverseError) as excinfo:
+            classify(db, 1)
+        errors.append((excinfo.value.n_items, excinfo.value.cap, str(excinfo.value)))
+    assert errors[0] == errors[1] == (17, 16, errors[0][2])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    assert f"(at most {lattice.ORACLE_ITEM_CAP} items)" in " ".join(out.getvalue().split())
+
+
 def test_the_cli_stand_ins_keep_their_namesakes_signatures():
     # `cli` binds these four for the benchmark's tracer and imports the
     # module that does the work only when one is called.
@@ -833,15 +852,16 @@ def test_mine_builds_no_result_objects(run, tmp_path, monkeypatch, emit):
     rng = random.Random(5)
     path.write_text("".join(" ".join(i for i in "abcdefgh" if rng.random() < 0.5) + " i\n"
                             for _ in range(40)))
-    built = {ItemSet: 0, MinedItemSet: 0}
-    for cls in built:
-        def counted_init(self, *args, cls=cls, init=cls.__init__):
-            built[cls] += 1
-            init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counted_init)
+    built = counting_builds(monkeypatch)
     code, out, _ = run("mine", "--input", str(path), "--max-support", "4", "--emit", emit)
     assert code == 0 and out.count("\n") > 20
-    assert built == {ItemSet: 0, MinedItemSet: 0}
+    assert built == {ItemSet: [], MinedItemSet: []}
+    # The same counting sees every result the library route builds; with
+    # emit=both, `iter_levels` also builds each level's frequent record.
+    got = mine_rare(parse_database(path.read_text()), MiningConfig(4, emit=emit))
+    assert len(got) == out.count("\n")
+    assert sorted(built[MinedItemSet]) == sorted(r.itemset.mask for r in got)
+    assert set(built[MinedItemSet]) <= set(built[ItemSet])
 
 
 class TestMonitorReplayIsAllOrNothing:

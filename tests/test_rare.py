@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_LABELS, WORKED_DB_SUPPORTS, counting_item_ands, mined_as_dict, random_database
+from conftest import (
+    CORPUS_LABELS,
+    WORKED_DB_SUPPORTS,
+    counting_builds,
+    counting_item_ands,
+    mined_as_dict,
+    random_database,
+)
 import rareminer.monitor as monitor
 import rareminer.rare as rare
 import rareminer.supports as supports
@@ -528,14 +535,11 @@ class TestRareOnlyWalk:
         # becomes an ItemSet.
         db = parse_database(bench_dense_corpus(1))
         counted = counting(db)
-        built = []
-        init = ItemSet.__init__
-        monkeypatch.setattr(
-            ItemSet, "__init__", lambda s, mask, width: built.append(mask) or init(s, mask, width)
-        )
+        built = counting_builds(monkeypatch)
         got = mine_rare(db, MiningConfig(8, emit="rare"))
         assert len(counted) == 12910
-        assert len(built) == len(got) == 9953
+        assert len(built[ItemSet]) == len(got) == 9953
+        assert built[ItemSet] == built[MinedItemSet] == [r.itemset.mask for r in got]
 
     def test_dense_database_walks_top_down(self):
         # 20 items, each row lacks one of them, 5 rows per missing item, sigma 2:
@@ -709,15 +713,10 @@ class TestEverySupersetRule:
         # The walk carries masks: one ItemSet per counted candidate, for its
         # level's objects, and one MinedItemSet per result.
         db = parse_database(bench_dense_corpus(1))
-        built = {ItemSet: 0, MinedItemSet: 0}
-        for cls in built:
-            def counted_init(self, *args, cls=cls, init=cls.__init__):
-                built[cls] += 1
-                init(self, *args)
-            monkeypatch.setattr(cls, "__init__", counted_init)
+        built = counting_builds(monkeypatch)
         got = mine_rare(db, MiningConfig(8))
         assert len(got) == 12301
-        assert built == {ItemSet: 13463, MinedItemSet: 12301}
+        assert {cls: len(masks) for cls, masks in built.items()} == {ItemSet: 13463, MinedItemSet: 12301}
 
 
 class TestBenchCorpusWork:

@@ -1,5 +1,6 @@
 """The contract of the ten public value types: immutable records compared,
-hashed, printed and pickled by type and field values."""
+hashed, printed and pickled by type and field values, whether a constructor
+or a miner built them."""
 
 from __future__ import annotations
 
@@ -8,7 +9,10 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CORPUS_LABELS
 from rareminer import (
     Alert,
     Classification,
@@ -21,7 +25,13 @@ from rareminer import (
     ParsedEvents,
     PatternRecurrence,
     WindowReport,
+    classify_all,
+    database_from_transactions,
+    iter_levels,
+    mine_frequent,
+    mine_rare,
 )
+from rareminer.itemsets import canonical_key
 
 RARE_AB = MinedItemSet(ItemSet(3, 4), 1, Classification.RARE)
 RECURRENCE = PatternRecurrence(("a", "b"), 3, 1)
@@ -207,3 +217,88 @@ def test_validation_errors(make, message):
         make()
     assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == message
+
+
+class Three:
+    """Not an int, but one by `operator.index`."""
+
+    def __index__(self) -> int:
+        return 3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MiningConfig(8.0),
+        lambda: MiningConfig(2.5, emit="rare"),
+        lambda: MiningConfig("3"),
+        lambda: EventWindowConfig(2.0, 1, 1, "s"),
+        lambda: EventWindowConfig(2, 3.0, 1, "s"),
+        lambda: EventWindowConfig(2, 3, 1000.0, "s"),
+    ],
+)
+def test_thresholds_must_be_whole_numbers(make):
+    # A float sigma once reached the walks: on the benchmark's dense corpus,
+    # 8.0 crashed in the support table and emit=rare returned results.
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_thresholds_are_stored_as_ints():
+    assert MiningConfig(Three()) == MiningConfig(3)
+    assert type(MiningConfig(Three()).sigma) is int
+    config = EventWindowConfig(Three(), Three(), Three(), "s")
+    assert config == EventWindowConfig(3, 3, 3, "s")
+    assert {type(config.sigma), type(config.cycles), type(config.duration_ms)} == {int}
+
+
+def assert_like_constructed(value, twin) -> None:
+    """`value` behaves as `twin`, built by its type's constructor, does."""
+    assert type(value) is type(twin)
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is type(twin) and copied == twin and hash(copied) == hash(twin)
+    for name in type(twin).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(twin, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+@st.composite
+def mined_databases(draw):
+    """(database over at most 10 items, threshold in [1, |D|+2])."""
+    universe = CORPUS_LABELS[: draw(st.integers(1, 10))]
+    rows = draw(st.lists(st.lists(st.sampled_from(universe), min_size=1), max_size=20))
+    db = database_from_transactions(rows, universe=universe)
+    return db, draw(st.integers(1, len(db) + 2))
+
+
+@settings(deadline=None, max_examples=150)
+@given(mined_databases())
+def test_mined_results_behave_like_constructed_ones(case):
+    # The miners build their results in bulk, with no constructor call.
+    db, threshold = case
+    rare, nonpresent, frequent = Classification.RARE, Classification.NONPRESENT, Classification.FREQUENT
+    referee = sorted(classify_all(db, threshold), key=lambda e: canonical_key(e.itemset.mask, db))
+    runs = [
+        (mine_rare(db, MiningConfig(threshold, emit=emit)), classes)
+        for emit, classes in (("both", {rare, nonpresent}), ("rare", {rare}), ("nonpresent", {nonpresent}))
+    ]
+    runs.append((mine_frequent(db, threshold), {frequent}))
+    for results, classes in runs:
+        wanted = [e for e in referee if e.classification in classes]
+        assert len(results) == len(wanted)
+        for result, entry in zip(results, wanted):
+            twin = MinedItemSet(ItemSet(entry.itemset.mask, db.width), entry.support, entry.classification)
+            assert_like_constructed(result, twin)
+            assert_like_constructed(result.itemset, twin.itemset)
+            match result:
+                case MinedItemSet(ItemSet(mask, width), support, classification):
+                    assert (mask, width, support, classification) == (
+                        twin.itemset.mask, db.width, twin.support, twin.classification)
+                case _:
+                    pytest.fail(f"{result!r} does not match its type's pattern")
+    for level in iter_levels(db, MiningConfig(threshold)):
+        for itemset in level.frequent_record:
+            assert_like_constructed(itemset, ItemSet(itemset.mask, db.width))
