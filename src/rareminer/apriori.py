@@ -17,10 +17,10 @@ frequent k-set until that set's extensions are counted, and counts the
 candidate X | {i} as `(tid(X) & tid(i)).bit_count()`, one AND whatever the
 width. The item tid-lists are the database's support index entries. At
 most two levels of tid-lists are alive at once, so the walk holds at most
-(|L_k| + |L_k+1|) x ceil(|D| / 8) bytes of them beyond the index. The join
-is made per member, with one AND of item bitmasks per member item
-(`_join_bits`), so its Python steps grow with the members' sizes, not with
-|I|.
+(|L_k| + |L_k+1|) x ceil(|D| / 8) bytes of them beyond the index. The join,
+`itemsets._join_bits`, which the top-down walk also uses on complements,
+is made per member, with one AND of item bitmasks per member item, so its
+Python steps grow with the members' sizes, not with |I|.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .itemsets import (
     MinedItemSet,
     TransactionDatabase,
     _bulk,
+    _join,
+    _join_bits,
+    _level_masks,
     canonical_key,
 )
 from .rare import _ordered
@@ -43,54 +46,14 @@ from .rare import _ordered
 def join_candidates(frequent: Collection[ItemSet]) -> list[ItemSet]:
     """Join k-sets into (k+1)-candidates whose k-subsets are all members.
 
-    Each member is extended by one item above its highest bit, so no
-    candidate is generated twice; an extension survives only when every
-    one-item reduction of it is a member. Candidates come back in ascending
-    mask order. A width-checked shell over the walk's mask-level join.
+    Members must share one width and one cardinality. Each is extended by
+    one item above its highest bit, so no candidate is generated twice; an
+    extension survives only when every one-item reduction of it is a
+    member. Candidates come back in ascending mask order. A width-checked
+    shell over the mask-level join, `itemsets._join_bits`.
     """
-    members = list(frequent)
-    if not members:
-        return []
-    width = members[0].width
-    if any(m.width != width for m in members):
-        raise ValueError("mixed item-set widths")
-    joined = _join_bits({m.mask for m in members}, width)
-    candidates = [mask | 1 << i for mask, bits in joined.items() for i in range(width) if bits >> i & 1]
-    return [ItemSet(mask, width) for mask in sorted(candidates)]
-
-
-def _join_bits(masks: Collection[int], width: int) -> dict[int, int]:
-    """The join on distinct masks of one cardinality, by member: `{mask: bits}`
-    for each member with a candidate, where bit i of `bits` is set when i is
-    above the member's highest item and `mask | 1 << i` is a candidate.
-
-    One pass records, for each one-item reduction r of a member, the items
-    that extend r into a member. The candidate `mask | 1 << i` drops to a
-    one-item reduction `(mask ^ 1 << j) | 1 << i` for each member item j,
-    and to `mask` itself, so i is kept when it extends every one-item
-    reduction of `mask`: one AND per member item, not a test per candidate.
-    """
-    # The bit loops are inline: with a generator over the bits, warm
-    # `mine_frequent` on the benchmark's Zipf corpora took about 1.2x as long.
-    extending: dict[int, int] = {}
-    for mask in masks:
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            extending[mask ^ bit] = extending.get(mask ^ bit, 0) | bit
-    full = (1 << width) - 1
-    joined = {}
-    for mask in masks:
-        bits = full >> mask.bit_length() << mask.bit_length()
-        rest = mask
-        while rest and bits:
-            bit = rest & -rest
-            rest ^= bit
-            bits &= extending[mask ^ bit]
-        if bits:
-            joined[mask] = bits
-    return joined
+    width, masks = _level_masks(frequent)
+    return [ItemSet(mask, width) for mask in sorted(_join(masks, width))]
 
 
 def iter_supported(db: TransactionDatabase, minsupp: int) -> Iterator[dict[int, int]]:

@@ -23,7 +23,8 @@ items, and a chunk of result lines with one `map` per table. Two threads
 racing on a first use can at worst build the same piece twice, as
 identical copies. A walk that counts most of the lattice counts on a copy
 of its database that reads every support from one table (`_reading`); the
-database it copied is not changed.
+database it copied is not changed. Both level-wise walks make their
+candidates with the one join here, `_join_bits`.
 
 The package's value types derive from `_Frozen`, which gives a class with
 `__slots__` the immutability, equality, hashing, repr and pickling of a
@@ -96,18 +97,16 @@ _BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8
 class _Frozen:
     """An immutable value whose fields are its subclass's `__slots__`.
 
-    A subclass sets them in `__init__` with `object.__setattr__`, except the
-    types built once per result or event line, `ItemSet`, `MinedItemSet` and
-    `monitor.Event`: they call their slots' own member descriptors
-    (`ItemSet.mask.__set__`, bound once at module level), which skips
-    `object.__setattr__`'s lookup of the field by name. The miners' results
-    (`_bulk`) and parsed events (`parse_events`) are made in bulk through
-    those descriptors alone: a batch of bare `object.__new__` instances, then
-    one `map` per field, with no `__init__` call and no Python call per
-    object. Copies and pickles are rebuilt by calling the class with the
-    fields in slot order, so they pass `__init__`'s checks.
-    Each subclass naming slots gets an `attrgetter` over them, `_fields`:
-    the field tuple, as every value type has two or more slots.
+    Each subclass naming slots gets, bound once, `_fields`, an `attrgetter`
+    of the field tuple (every value type has two or more slots), and
+    `_writers`, each slot's member descriptor `__set__`, in slot order. A
+    subclass sets its fields in `__init__` with `object.__setattr__`, except
+    `ItemSet` and `MinedItemSet`, built once per result, which call their
+    writers and so skip `object.__setattr__`'s lookup of the field by name.
+    `_batch` makes instances in bulk through the writers alone, as for the
+    miners' results (`_bulk`) and parsed events (`parse_events`). Copies and
+    pickles are rebuilt by calling the class with the fields in slot order,
+    so they pass `__init__`'s checks.
     """
 
     __slots__ = ()
@@ -116,6 +115,17 @@ class _Frozen:
         super().__init_subclass__(**kwargs)
         if cls.__slots__:
             cls._fields = attrgetter(*cls.__slots__)
+            cls._writers = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _batch(cls, n: int, *columns: Iterable) -> list:
+        """`n` instances, field i of each taken from `columns[i]` in order, with
+        no `__init__` call (so no check) and no Python call per instance: one
+        `object.__new__` pass, then one `map` per field over its writer."""
+        made = list(map(object.__new__, repeat(cls, n)))
+        for write, column in zip(cls._writers, columns):
+            any(map(write, made, column))
+        return made
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -148,9 +158,10 @@ class MinedItemSet(_Frozen):
     __slots__ = __match_args__ = ("itemset", "support", "classification")
 
     def __init__(self, itemset: ItemSet, support: int, classification: Classification):
-        _set_itemset(self, itemset)
-        _set_support(self, support)
-        _set_classification(self, classification)
+        set_itemset, set_support, set_classification = self._writers
+        set_itemset(self, itemset)
+        set_support(self, support)
+        set_classification(self, classification)
 
 
 class ItemSet(_Frozen):
@@ -168,20 +179,13 @@ class ItemSet(_Frozen):
             raise ValueError(f"negative item-set width {width}")
         if not 0 <= mask < (1 << width):
             raise ValueError(f"mask {mask:#x} out of range for width {width}")
-        _set_mask(self, mask)
-        _set_width(self, width)
+        set_mask, set_width = self._writers
+        set_mask(self, mask)
+        set_width(self, width)
 
     @property
     def cardinality(self) -> int:
         return self.mask.bit_count()
-
-
-# The slots' member descriptors, which the two per-result types write through.
-_set_itemset = MinedItemSet.itemset.__set__
-_set_support = MinedItemSet.support.__set__
-_set_classification = MinedItemSet.classification.__set__
-_set_mask = ItemSet.mask.__set__
-_set_width = ItemSet.width.__set__
 
 
 def _bulk(
@@ -194,22 +198,14 @@ def _bulk(
     as `MinedItemSet(ItemSet(m, width), s, c)` with the support and class in
     the same place of `supports` and `classes`; with no Python call per object.
 
-    Each batch of objects is made by `object.__new__`, not by calling the
-    class, and each field is written to all of them by one `map` over its
-    slot's member descriptor; `__init__`'s checks are skipped, so every mask
-    must lie below `1 << width`. The miners build their results here.
+    Each batch is made by `_Frozen._batch`, so `__init__`'s checks are
+    skipped and every mask must lie below `1 << width`. The miners build
+    their results here.
     """
-    n = len(masks)
-    itemsets = list(map(object.__new__, repeat(ItemSet, n)))
-    any(map(_set_mask, itemsets, masks))
-    any(map(_set_width, itemsets, repeat(width, n)))
+    itemsets = ItemSet._batch(len(masks), masks, repeat(width))
     if supports is None:
         return itemsets
-    results = list(map(object.__new__, repeat(MinedItemSet, n)))
-    any(map(_set_itemset, results, itemsets))
-    any(map(_set_support, results, supports))
-    any(map(_set_classification, results, classes))
-    return results
+    return MinedItemSet._batch(len(itemsets), itemsets, supports, classes)
 
 
 def iter_child_masks(mask: int) -> Iterator[int]:
@@ -219,6 +215,61 @@ def iter_child_masks(mask: int) -> Iterator[int]:
         low = bits & -bits
         yield mask ^ low
         bits ^= low
+
+
+def _level_masks(level: Iterable[ItemSet]) -> tuple[int, set[int]]:
+    """The common width (0 if empty) and the distinct masks of a candidate
+    rule's level of `ItemSet`s; ValueError on mixed widths or cardinalities."""
+    members = list(level)
+    widths = {m.width for m in members}
+    if len(widths) > 1:
+        raise ValueError("mixed item-set widths in one level")
+    masks = {m.mask for m in members}
+    if len({mask.bit_count() for mask in masks}) > 1:
+        raise ValueError("mixed cardinalities in one level")
+    return max(widths, default=0), masks
+
+
+def _join(masks: Collection[int], width: int) -> list[int]:
+    """The join's candidates (`_join_bits`) of distinct masks of one cardinality, unsorted."""
+    return [mask | 1 << i for mask, bits in _join_bits(masks, width).items()
+            for i in range(mask.bit_length(), bits.bit_length()) if bits >> i & 1]
+
+
+def _join_bits(masks: Collection[int], width: int) -> dict[int, int]:
+    """The join on distinct masks of one cardinality, by member: `{mask: bits}`
+    for each member with a candidate, where bit i of `bits` is set when i is
+    above the member's highest item and `mask | 1 << i` is a candidate, all
+    of whose one-item reductions are members. Apriori joins its supported
+    k-sets; the top-down walk their complements (`rare._candidate_masks`).
+
+    One pass records, for each one-item reduction r of a member, the items
+    that extend r into a member. The candidate `mask | 1 << i` drops to a
+    one-item reduction `(mask ^ 1 << j) | 1 << i` for each member item j,
+    and to `mask` itself, so i is kept when it extends every one-item
+    reduction of `mask`: one AND per member item, not a test per candidate.
+    """
+    # The bit loops are inline: with a generator over the bits, warm
+    # `mine_frequent` on the benchmark's Zipf corpora took about 1.2x as long.
+    extending: dict[int, int] = {}
+    for mask in masks:
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            extending[mask ^ bit] = extending.get(mask ^ bit, 0) | bit
+    full = (1 << width) - 1
+    joined = {}
+    for mask in masks:
+        bits = full >> mask.bit_length() << mask.bit_length()
+        rest = mask
+        while rest and bits:
+            bit = rest & -rest
+            rest ^= bit
+            bits &= extending[mask ^ bit]
+        if bits:
+            joined[mask] = bits
+    return joined
 
 
 class TransactionDatabase:

@@ -20,7 +20,7 @@ produce identical alerts and identical store bytes.
 from __future__ import annotations
 
 import os
-from itertools import chain, count, repeat
+from itertools import chain, count
 from operator import attrgetter, index
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -50,11 +50,6 @@ class Event(_Frozen):
             raise ValueError("an event needs at least one item")
         object.__setattr__(self, "timestamp", timestamp)
         object.__setattr__(self, "items", items)
-
-
-# The slots' member descriptors, which `parse_events` writes its events through.
-_set_timestamp = Event.timestamp.__set__
-_set_items = Event.items.__set__
 
 
 class EventWindowConfig(_Frozen):
@@ -192,11 +187,8 @@ def parse_events(text: str) -> ParsedEvents:
         timestamps.append(timestamp)
         item_lists.append(tokens)
     del lines  # lowers the peak memory of the passes below
-    # Each kept line passed `Event.__init__`'s checks, so the events are
-    # written through their slots in C-level passes (`any` drains the `None`s).
-    events = list(map(object.__new__, repeat(Event, len(timestamps))))
-    any(map(_set_timestamp, events, timestamps))
-    any(map(_set_items, events, map(tuple, map(dict.fromkeys, item_lists))))
+    # Each kept line meets `Event.__init__`'s checks, which `_batch` skips.
+    events = Event._batch(len(timestamps), timestamps, map(tuple, map(dict.fromkeys, item_lists)))
     return ParsedEvents(tuple(events), tuple(malformed))
 
 

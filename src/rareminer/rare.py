@@ -36,9 +36,10 @@ counted candidate and one `MinedItemSet` per kept one, and `mine_rare`
 makes only the results, in output order.
 
 The top-down walk makes each level's candidates by one rule: the k-item-sets
-all of whose (k+1)-item supersets the level above kept. `_candidate_masks`
-counts each kept member's one-item reductions in a `Counter`; a k-item-set
-is a candidate when it is named |I| - k times.
+all of whose (k+1)-item supersets the level above kept: Apriori's rule
+mirrored. `_candidate_masks` runs Apriori's join (`itemsets._join_bits`)
+on the complements of the kept sets, which are small near the full
+item-set, and complements its candidates back.
 
 Where the walk's levels are dense, it reads its remaining levels off one
 table of all 2^|I| supports (`supports.support_table`): the superset-sum
@@ -54,17 +55,19 @@ reaches sigma, in |I| passes over one byte per mask; the unmarked masks
 are the candidates, and each is still counted by one `support_of_mask`
 call, on a copy of the database that reads the table. `_table_pays`
 builds it once the masks the walk has counted, the next level's
-candidates included, reach 2^|I| / 24 + 50: at least what the table and
-its read-out cost, in masks counted one at a time and made by the
-`Counter` rule, so the table never costs more than the walk has already
-spent and no run takes much more than twice its walk. That cost against
-the rule's count, measured on 400 random rows at sigma 1 with CPython
-3.11 (medians of 5 runs; 2 at 20 items, 1 at 22):
+candidates included, reach 2^|I| / 24 + 50. The table and its read-out
+cost, in masks counted one at a time and made by the join, against that
+count, on 400 random rows at sigma 1 (the walk timed on the full top
+levels it counts there; CPython 3.11, medians of 9 runs, 5 at 18 items,
+3 at 20, 1 at 22):
 
-    10 items: 52 / 92            12 items: 208 / 220
-    14 items: 634 / 732          16 items: 2,524 / 2,780
-    18 items: 9,866 / 10,972     20 items: 36,551 / 43,740
-    22 items: 157,675 / 174,812
+    10 items: 263 / 92           12 items: 561 / 220
+    14 items: 1,530 / 732        16 items: 5,577 / 2,780
+    18 items: 25,826 / 10,972    20 items: 97,012 / 43,740
+    22 items: 307,177 / 174,812
+
+So the walk switches once it has spent 35-57% of the table's cost (34-58%
+in a second series).
 
 On the benchmark's dense corpus (14 items x 400 rows, sigma 8) the walk
 counts its top four levels, 470 masks, one by one and the other 12,993
@@ -74,7 +77,6 @@ of every 16-item subset of 20 items at sigma 1, never switches.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, repeat
 from operator import index
 from typing import Collection, Iterable, Iterator
@@ -86,6 +88,8 @@ from .itemsets import (
     TransactionDatabase,
     _bulk,
     _Frozen,
+    _join,
+    _level_masks,
     canonical_key,
     iter_child_masks,
 )
@@ -151,30 +155,18 @@ def generate_candidates(level: Collection[ItemSet]) -> list[ItemSet]:
     Members must have one common width and one common cardinality k+1; the
     result holds each such k-item-set once, in ascending mask order. A lone
     full item-set yields all of its one-item reductions. A width-checked
-    shell over the walk's mask-level rule.
+    shell over the walk's mask-level rule, `_candidate_masks`.
     """
-    members = list(level)
-    if not members:
-        return []
-    width = members[0].width
-    if len({m.width for m in members}) > 1:
-        raise ValueError("mixed item-set widths in one level")
-    masks = {m.mask for m in members}
-    if len({mask.bit_count() for mask in masks}) > 1:
-        raise ValueError("mixed cardinalities in one level")
+    width, masks = _level_masks(level)
     return [ItemSet(mask, width) for mask in _candidate_masks(masks, width)]
 
 
 def _candidate_masks(masks: Collection[int], width: int) -> list[int]:
-    """`generate_candidates` on distinct, non-empty masks of one cardinality."""
-    cardinality = next(iter(masks)).bit_count()
-    # A k-item-set has width - k supersets of k+1 items, so it is a candidate
-    # iff the members' one-item reductions, counted by Counter in C, name it
-    # that many times.
-    supersets = width - (cardinality - 1)
-    bits = [1 << i for i in range(width)]
-    parents = Counter([mask ^ bit for bit in bits for mask in masks if mask & bit])
-    return sorted([c for c, n in parents.items() if n == supersets])
+    """`generate_candidates` on distinct masks of one cardinality: as m | {i}
+    is the complement of (I - m) - {i}, the k-sets all of whose supersets are
+    members are the complements of the join's candidates over theirs."""
+    full = (1 << width) - 1
+    return sorted([full ^ mask for mask in _join([full ^ mask for mask in masks], width)])
 
 
 def prune_candidates(
@@ -220,7 +212,8 @@ def iter_levels(db: TransactionDatabase, config: MiningConfig) -> Iterator[Level
     Stops after single items, or as soon as a level keeps nothing. The empty
     set is never a candidate. The walk carries masks; each level's public
     objects are built once, in bulk, from its counts: zero support is
-    non-present, the rest below sigma rare.
+    non-present, the rest below sigma rare. `config.emit` does not change
+    the walk: it always walks at `config.sigma` and yields both classes.
     """
     width, rare = db.width, Classification.RARE
     # A support's class, as `class_of(support, rare)`: 0 is non-present.
@@ -265,12 +258,11 @@ def _top_down(
 
 
 def _table_pays(counted: int, width: int) -> bool:
-    """Whether the walk, having counted `counted` masks, has spent what the table costs.
+    """Whether the walk, having counted `counted` masks, builds the support table.
 
-    Building the table and reading out its candidates takes at most about
-    as long as counting 2^width / 24 + 50 masks one by one, each made by the
-    `Counter` rule (the module docstring has the measurements), so from
-    there on the table at most doubles the walk.
+    The count, 2^width / 24 + 50, is about 35-58% of what the table and its
+    read-out cost in masks counted one by one (the module docstring has the
+    measurements).
     """
     return counted >= (1 << width) // 24 + 50
 

@@ -89,6 +89,12 @@ class TestJoin:
         with pytest.raises(ValueError, match="mixed item-set widths"):
             join_candidates([ItemSet(1, 3), ItemSet(1, 4)])
 
+    def test_mixed_cardinalities_rejected(self):
+        # Unchecked, the pair 01 | 10 would come back as a candidate that is
+        # also the member 011.
+        with pytest.raises(ValueError, match="mixed cardinalities"):
+            join_candidates([ItemSet(0b001, 3), ItemSet(0b010, 3), ItemSet(0b011, 3)])
+
 
 class TestDegenerateInputs:
     def test_empty_database(self):

@@ -209,23 +209,37 @@ class TestCandidateGeneration:
             )
 
     def test_matches_every_superset_is_a_member(self):
-        # reference: every k-set, by brute force, whose every (k+1)-superset is a member
+        # reference: each one-item reduction of a member whose every one-item
+        # extension is a member, so no scan over 2^width
         rng = random.Random(97)
+        near_full = set()
         for _ in range(300):
-            width = rng.randint(2, 16)
-            k1 = rng.randint(1, width)
-            pool = [m for m in range(1 << width) if m.bit_count() == k1]
-            # Small levels rarely cover every superset of anything; near-full ones do.
-            size = rng.choice([rng.randint(1, 12), len(pool) - rng.randint(0, 3)])
-            level = set(rng.sample(pool, max(1, min(len(pool), size))))
-            reference = [
+            width = rng.choice([rng.randint(2, 23), 24])
+            # Half the levels lie within 7 items of the full item-set, where the
+            # walk joins complements of 1-7 items: 17-21 items of 24 give 3-7.
+            k1 = rng.randint(max(1, width - 7) if rng.random() < 0.5 else 1, width)
+
+            def draw(k):
+                return sum(1 << i for i in rng.sample(range(width), k))
+
+            # Small levels rarely cover every superset of anything, so each
+            # level also holds every superset of a few (k1-1)-sets, less a few.
+            level = {draw(k1) for _ in range(rng.randint(1, 12))}
+            for _ in range(rng.randint(0, 4)):
+                child = draw(k1 - 1)
+                level.update(child | 1 << i for i in range(width) if not child >> i & 1)
+            level.difference_update(rng.sample(sorted(level), rng.randint(0, min(2, len(level) - 1))))
+            reference = sorted({
                 child
-                for child in range(1 << width)
-                if child.bit_count() == k1 - 1
-                and all(child | 1 << i in level for i in range(width) if not child >> i & 1)
-            ]
+                for m in level
+                for child in (m ^ 1 << i for i in range(width) if m >> i & 1)
+                if all(child | 1 << i in level for i in range(width) if not child >> i & 1)
+            })
             got = [c.mask for c in generate_candidates([ItemSet(m, width) for m in level])]
             assert got == reference
+            if width == 24 and reference:
+                near_full.add(k1)
+        assert near_full >= set(range(17, 22))
 
     def test_wide_universe_with_small_levels_builds_no_lattice(self):
         # 24 items, each row the universe less one item: both walks make
@@ -855,7 +869,7 @@ class TestSupportTable:
         dense = parse_database(bench_dense_corpus(1))
         rare.mine_rare_masks(dense, MiningConfig(8))
         # The walk counts the 11-item level, makes the 10-item candidates with
-        # the Counter rule and takes those of 9 items and fewer from the table.
+        # the join and takes those of 9 items and fewer from the table.
         assert built == [(dense, 8, 9)]
         assert "_supports" not in vars(dense)
         built.clear()
